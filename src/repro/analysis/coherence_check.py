@@ -7,8 +7,8 @@ in the code *structurally* guarantees every (CacheState x request) pair
 is handled.  This checker recovers the table-driven guarantee by
 enumeration: for each of the five CHI states it constructs a machine
 with a block directly installed in that state (validated against
-``check_coherence_invariants`` before use), fires each request kind at
-it, and verifies that
+:func:`~repro.coherence.invariants.check_swmr` before use), fires each
+request kind at it, and verifies that
 
 * the handler completes without raising,
 * the directory and private caches still satisfy the coherence
@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.analysis.findings import Finding, Severity
+from repro.coherence.invariants import check_swmr
 from repro.coherence.states import CacheState
 from repro.frontend.isa import MemOp, ldadd, read, write
 from repro.sim.config import SystemConfig, TINY_CONFIG
@@ -170,12 +171,13 @@ def check_coherence(
             machine = factory(cfg, _policy_for(request))
             try:
                 _install(machine, state)
-                machine.check_coherence_invariants()
+                broken = "; ".join(check_swmr(machine))
             except Exception as exc:  # noqa: BLE001 - report, don't crash
+                broken = f"{type(exc).__name__}: {exc}"
+            if broken:
                 findings.append(Finding(
                     checker="coherence", severity=Severity.ERROR, tag=tag,
-                    message=(f"cannot construct state {state.name} "
-                             f"({type(exc).__name__}: {exc})"),
+                    message=f"cannot construct state {state.name} ({broken})",
                 ))
                 continue
 
@@ -193,11 +195,8 @@ def check_coherence(
                 ))
                 continue
 
-            problems: List[str] = []
-            try:
-                machine.check_coherence_invariants()
-            except AssertionError as exc:
-                problems.append(f"coherence invariant broken: {exc}")
+            problems = [f"coherence invariant broken: {msg}"
+                        for msg in check_swmr(machine)]
             exp_home, exp_actor = _expected(request, state)
             got_home = machine.privates[HOME].l1_state(ADDR >> 6)
             got_actor = machine.privates[actor].l1_state(ADDR >> 6)

@@ -15,17 +15,15 @@ exploration tractable; see DESIGN.md §11 for the soundness argument.
 from repro.analysis.modelcheck.explore import (CellResult, CheckReport,
                                                check_cell, check_grid,
                                                replay_trace)
-from repro.analysis.modelcheck.invariants import Violation, check_swmr
+from repro.analysis.modelcheck.invariants import Violation
 from repro.analysis.modelcheck.report import render_json, render_text
-from repro.analysis.modelcheck.sanitize import (SanitizerError,
-                                                SanitizerSink,
-                                                sanitize_requested)
+from repro.analysis.modelcheck.sanitize import SanitizerError, SanitizerSink
 from repro.analysis.modelcheck.scope import (DEFAULT_SCOPES, SMOKE_SCOPES,
                                              Scope, ScriptOp, scope_by_name)
 
 __all__ = [
     "CellResult", "CheckReport", "check_cell", "check_grid", "replay_trace",
-    "Violation", "check_swmr", "render_json", "render_text",
-    "SanitizerError", "SanitizerSink", "sanitize_requested",
+    "Violation", "render_json", "render_text",
+    "SanitizerError", "SanitizerSink",
     "DEFAULT_SCOPES", "SMOKE_SCOPES", "Scope", "ScriptOp", "scope_by_name",
 ]

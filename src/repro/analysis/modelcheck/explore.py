@@ -37,11 +37,11 @@ from repro.analysis.modelcheck.invariants import (Violation,
                                                   capture_line_flags,
                                                   apply_shadow,
                                                   check_conformance,
-                                                  check_swmr, check_values,
-                                                  policy_view)
+                                                  check_values, policy_view)
 from repro.analysis.modelcheck.scope import (DEFAULT_SCOPES,
                                              MAX_EXPLORE_NOW, Scope,
                                              ScriptOp, naive_interleavings)
+from repro.coherence.invariants import check_swmr
 from repro.core import spec as core_spec
 from repro.frontend.isa import MemOp, OpType
 from repro.sim.events import CollectorSink, EventBus

@@ -1,21 +1,17 @@
-"""Invariant predicates shared by the model checker and the sanitizer.
+"""Invariant predicates of the model checker beyond SWMR.
 
 Everything here is *read-only* over machine state: the predicates return
 lists of human-readable problem strings (empty = invariant holds), never
-assert, and never touch LRU order or stats — so the sanitizer can run
-them against a live full-size simulation without perturbing it.
+assert, and never touch LRU order or stats.  SWMR / directory agreement
+lives below ``sim/`` in :func:`repro.coherence.invariants.check_swmr`.
 
 Checked families:
 
-* **SWMR / directory consistency** (:func:`check_swmr`) — at most one
-  unique (UC/UD) copy system-wide, a unique copy is the *only* copy,
-  and the directory's owner/sharer bookkeeping matches the private
-  caches in both directions.
 * **Data values** (:func:`check_values`) — the machine's architectural
   memory equals a sequential shadow built by applying the schedule's
   ops in order (reads return the last write in serialization order;
   AMO read-modify-writes are atomic).
-* **Policy conformance** (:class:`ConformanceChecker`) — every near/far
+* **Policy conformance** (:func:`check_conformance`) — every near/far
   decision and every AMT counter update matches the machine-readable
   spec in :mod:`repro.core.spec`, predicted from pre-transition state
   and the emitted event sequence.
@@ -53,69 +49,6 @@ class Violation:
     def as_dict(self) -> Dict[str, Any]:
         return {"invariant": self.invariant, "message": self.message,
                 "step": self.step, "core": self.core, "block": self.block}
-
-
-# --- SWMR / directory consistency -----------------------------------------
-
-def check_swmr(machine: Machine) -> List[str]:
-    """Single-writer-multiple-readers + directory agreement, both ways."""
-    problems: List[str] = []
-    directory = machine.directory
-    # Cache -> directory: every resident copy is tracked correctly.
-    holders: Dict[int, List[Tuple[int, CacheState]]] = {}
-    for core, priv in enumerate(machine.privates):
-        for cache in (priv.l1, priv.l2):
-            for line in cache.lines():
-                holders.setdefault(line.block, []).append((core, line.state))
-    for block, copies in sorted(holders.items()):
-        entry = directory.peek(block)
-        unique = [c for c, st in copies if st.is_unique]
-        if len(unique) > 1:
-            problems.append(
-                f"block {block:#x} unique at multiple cores: {unique}")
-        if unique and len(copies) > 1:
-            problems.append(
-                f"block {block:#x} unique at core {unique[0]} but also "
-                f"held by {[c for c, _ in copies if c != unique[0]]}")
-        for core, state in copies:
-            if entry is None:
-                problems.append(
-                    f"core {core} holds {block:#x} ({state.name}) with no "
-                    f"directory entry")
-                continue
-            if state.is_unique or state is CacheState.SD:
-                if entry.owner != core:
-                    problems.append(
-                        f"core {core} holds {block:#x} {state.name} but "
-                        f"directory owner is {entry.owner}")
-            elif core not in entry.sharers:
-                problems.append(
-                    f"core {core} holds {block:#x} SC but is not in "
-                    f"directory sharers {sorted(entry.sharers)}")
-    # Directory -> cache: no phantom holders.
-    for block in directory.tracked_blocks():
-        entry = directory.peek(block)
-        assert entry is not None
-        if entry.owner is not None:
-            line, _level = machine.privates[entry.owner].find(block)
-            if line is None:
-                problems.append(
-                    f"directory owner {entry.owner} of {block:#x} holds "
-                    f"no copy")
-            elif line.state is CacheState.SC:
-                problems.append(
-                    f"directory owner {entry.owner} of {block:#x} holds "
-                    f"it in SC")
-        for core in sorted(entry.sharers):
-            line, _level = machine.privates[core].find(block)
-            if line is None:
-                problems.append(
-                    f"directory sharer {core} of {block:#x} holds no copy")
-            elif line.state.is_unique:
-                problems.append(
-                    f"directory sharer {core} of {block:#x} holds it "
-                    f"{line.state.name}")
-    return problems
 
 
 # --- data values ----------------------------------------------------------

@@ -1,13 +1,13 @@
 """Opt-in runtime invariant sanitizer (``repro run --sanitize``).
 
-Reuses the model checker's read-only predicates against a *live*
-full-size simulation: per coherence-relevant event the sanitizer checks
+Runs the model checker's SWMR predicate against a *live* full-size
+simulation: per coherence-relevant event the sanitizer checks
 the event's postcondition on the affected block, and every
 ``full_check_every`` such events it sweeps the whole machine with
-:func:`~repro.analysis.modelcheck.invariants.check_swmr`.
+:func:`~repro.coherence.invariants.check_swmr`.
 
-Gate: the sink is only subscribed when ``--sanitize`` is passed or
-``REPRO_SANITIZE=1`` is set.  When it is not subscribed the event bus
+Gate: the sink is only subscribed when ``--sanitize`` is passed (or a
+test subscribes it directly).  When it is not subscribed the event bus
 stays fused/inactive, so default-mode simulation executes the exact
 instruction sequence it does without this module (the golden traces and
 ``repro bench --check`` pin that).
@@ -15,21 +15,15 @@ instruction sequence it does without this module (the golden traces and
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
-from repro.analysis.modelcheck.invariants import check_swmr
+from repro.coherence.invariants import check_swmr
 from repro.coherence.states import CacheState
 from repro.sim.events import Event, EventKind, Sink
 
 
 class SanitizerError(AssertionError):
     """An invariant failed during a sanitized run."""
-
-
-def sanitize_requested() -> bool:
-    """True when the environment opts into sanitized runs."""
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 
 class SanitizerSink(Sink):

@@ -214,11 +214,17 @@ DEFAULT_SCOPES: Tuple[Scope, ...] = (
           (_ops(("ldadd", 0), ("ldadd", 0)),
            _ops(("ldadd", 0, 2), ("ldadd", 0, 2)))),
     # Plain loads/stores mixed with AMOs, plus false sharing (stores on
-    # offset 8 of the AMO'd line): ReadShared snoops, downgrades,
-    # store upgrades, SD creation.
+    # offset 8 of the AMO'd line): ReadShared snoops, downgrades, SD
+    # creation.  Its stores all miss in L1.
     Scope("mixed-rw", 2, (0, 1),
           (_ops(("store", 0, 5, 0, 8), ("ldadd", 1), ("load", 0)),
            _ops(("ldadd", 0), ("store", 1, 7, 0, 8), ("load", 1)))),
+    # Store hits on a shared line: a load leaves the reader SC (and a
+    # dirty writer SD), so the next store hits L1 and must upgrade —
+    # the write-upgrade path no other scope reaches.
+    Scope("rw-upgrade", 2, (0, 1),
+          (_ops(("store", 0, 5), ("store", 0, 6)),
+           _ops(("load", 0), ("store", 0, 7)))),
     # Both cores read first, then AMO: every policy decides on an SC
     # line, exercising the upgrade-under-AMO path.
     Scope("read-amo", 2, (0, 1),
@@ -265,9 +271,10 @@ DEFAULT_SCOPES: Tuple[Scope, ...] = (
 )
 
 #: Deterministic CI subset (``repro check --smoke``): the cheapest
-#: scopes that still cover AMO contention, locking, eviction and the
-#: bank conservation invariant.
-SMOKE_SCOPES: Tuple[str, ...] = ("counter", "read-amo", "evict", "bank")
+#: scopes that still cover AMO contention, store upgrades, eviction and
+#: the bank conservation invariant.
+SMOKE_SCOPES: Tuple[str, ...] = ("counter", "read-amo", "rw-upgrade",
+                                 "evict", "bank")
 
 
 def scope_by_name(name: str,

@@ -50,9 +50,8 @@ Commands:
   model checker: explore every schedule of short op scripts on the real
   machine, checking SWMR, data values, AMO atomicity, deadlock freedom
   and policy/AMT spec conformance; ``--replay`` re-executes a recorded
-  counterexample trace instead.  ``repro run --sanitize`` (or
-  ``REPRO_SANITIZE=1``) attaches the same invariants to a live
-  simulation.
+  counterexample trace instead.  ``repro run --sanitize`` attaches
+  the same invariants to a live simulation.
 """
 
 from __future__ import annotations
@@ -125,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sanitize", action="store_true",
                      help="attach the runtime invariant sanitizer "
                           "(SWMR + AMO postconditions checked live; "
-                          "runs uncached; REPRO_SANITIZE=1 also enables)")
+                          "runs uncached)")
 
     fig = sub.add_parser("figure", help="regenerate a paper figure")
     fig.add_argument("which", type=_figure_name, choices=sorted(FIGURES),
@@ -312,13 +311,11 @@ def _cmd_list() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.modelcheck.sanitize import (SanitizerError,
-                                                    SanitizerSink,
-                                                    sanitize_requested)
+                                                    SanitizerSink)
 
     config = PAPER_CONFIG if args.paper_system else DEFAULT_CONFIG
     runner = Runner(config=config, use_cache=not args.no_cache)
-    sanitize = args.sanitize or sanitize_requested()
-    if args.trace or sanitize:
+    if args.trace or args.sanitize:
         # Traced/sanitized runs always simulate: a cached result has no
         # events for the sinks to consume.
         from repro.harness.executor import execute_spec
@@ -333,7 +330,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace_sink = TraceSink(args.trace, stamps=args.stamps)
             sinks.append(trace_sink)
         san_sink = None
-        if sanitize:
+        if args.sanitize:
             san_sink = SanitizerSink()
             sinks.append(san_sink)
         try:

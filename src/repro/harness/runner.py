@@ -18,18 +18,12 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.harness.executor import (CACHE_VERSION, MAX_CYCLES,
-                                    CacheSchemaError, ResultStore, RunSpec,
-                                    default_cache_dir, deserialize_result,
-                                    make_executor, make_spec,
-                                    serialize_result)
+from repro.harness.executor import (ResultStore, RunSpec, make_executor,
+                                    make_spec)
 from repro.sim.config import DEFAULT_CONFIG, SystemConfig
 from repro.sim.results import SimulationResult
 
-__all__ = [
-    "CACHE_VERSION", "MAX_CYCLES", "CacheSchemaError", "RunSpec", "Runner",
-    "default_cache_dir", "speedups_vs_baseline", "best_static_speedups",
-]
+__all__ = ["Runner", "speedups_vs_baseline", "best_static_speedups"]
 
 
 class Runner:
@@ -48,16 +42,6 @@ class Runner:
     @property
     def jobs(self) -> int:
         return self._executor.jobs
-
-    # --- cache serialization (back-compat wrappers) -------------------
-
-    @staticmethod
-    def _serialize(result: SimulationResult) -> Dict:
-        return serialize_result(result)
-
-    @staticmethod
-    def _deserialize(data: Dict) -> SimulationResult:
-        return deserialize_result(data)
 
     # --- planning -----------------------------------------------------
 

@@ -15,8 +15,6 @@ store:
   (``POST /v1/batch``, ``GET /v1/batch/<id>``,
   ``GET /v1/batch/<id>/events``, ``GET /v1/healthz``,
   ``GET /v1/stats``);
-* :mod:`repro.service.loadgen` — deterministic Zipf request-trace
-  generation for load tests;
 * :mod:`repro.service.smoke` — the CI smoke entry point
   (``python -m repro.service.smoke``).
 """

@@ -10,9 +10,7 @@ their observability.  Consumers subscribe :class:`Sink` objects:
   energy sink (:class:`repro.energy.model.EnergySink`) — reproduce the
   accounting the machine previously hard-wired;
 * :class:`TraceSink` records an opt-in structured per-op JSONL trace
-  (``python -m repro run --trace FILE``);
-* :class:`AssertionSink` re-checks coherence invariants while a
-  simulation runs (property tests).
+  (``python -m repro run --trace FILE``).
 
 Fast path: pure counters *are* their own events — a counter increment
 carries no information beyond "this event happened" — so the stock
@@ -278,64 +276,6 @@ class TraceSink(Sink):
             self._fh.close()
         else:
             self._fh.flush()
-
-
-class AssertionSink(Sink):
-    """Checks coherence invariants while the simulation runs.
-
-    On every coherence-relevant event the sink cross-checks the event's
-    block between directory and private caches (single writer, multiple
-    readers, directory–sharer agreement); every ``full_check_every``
-    such events it additionally runs the machine's full
-    :meth:`check_coherence_invariants` sweep.  Used by the property
-    tests; never attached in default mode.
-    """
-
-    _CHECKED = frozenset({
-        EventKind.AMO_NEAR, EventKind.AMO_FAR, EventKind.INVALIDATION,
-        EventKind.DOWNGRADE, EventKind.LINE_HANDOFF,
-    })
-
-    def __init__(self, machine, full_check_every: int = 64) -> None:
-        self.machine = machine
-        self.full_check_every = full_check_every
-        self.checks = 0
-
-    def on_event(self, event: Event) -> None:
-        if event.kind not in self._CHECKED:
-            return
-        self.checks += 1
-        if event.block >= 0:
-            self._check_block(event.block)
-        if self.checks % self.full_check_every == 0:
-            self.machine.check_coherence_invariants()
-
-    def _check_block(self, block: int) -> None:
-        machine = self.machine
-        entry = machine.directory.peek(block)
-        unique_holders = []
-        holders = []
-        for core, priv in enumerate(machine.privates):
-            line, _level = priv.find(block)
-            if line is None:
-                continue
-            holders.append(core)
-            if line.state.is_unique:
-                unique_holders.append(core)
-            assert entry is not None, (
-                f"core {core} holds untracked block {block:#x}")
-            assert core in entry.holders(), (
-                f"core {core} holds {block:#x} ({line.state.name}) "
-                f"unknown to directory")
-        assert len(unique_holders) <= 1, (
-            f"block {block:#x} unique at multiple cores: {unique_holders}")
-        if unique_holders:
-            assert holders == unique_holders, (
-                f"block {block:#x} unique at core {unique_holders[0]} "
-                f"but also held by {holders}")
-            assert entry is not None and entry.owner == unique_holders[0], (
-                f"block {block:#x} unique at core {unique_holders[0]} "
-                f"but directory owner={entry.owner if entry else None}")
 
 
 class CollectorSink(Sink):

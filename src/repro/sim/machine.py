@@ -1253,44 +1253,3 @@ class Machine:
             new_owner if new_owner is not None else -1, block,
             info={"from": prev_owner if prev_owner is not None else -1,
                   "to": new_owner if new_owner is not None else -1}))
-
-    # ------------------------------------------------------------------
-    # invariant checking (used by property tests)
-    # ------------------------------------------------------------------
-
-    def check_coherence_invariants(self) -> None:
-        """Raise AssertionError if directory and caches disagree.
-
-        Invariants: at most one owner per block; owner and sharers hold
-        valid copies in compatible states; unique copies exist only at the
-        directory-recorded owner; no cache holds a block the directory
-        does not track.
-        """
-        holders_seen: Dict[int, List[int]] = {}
-        for core, priv in enumerate(self.privates):
-            for cache in (priv.l1, priv.l2):
-                for cache_line in cache.lines():
-                    holders_seen.setdefault(cache_line.block, []).append(core)
-                    entry = self.directory.peek(cache_line.block)
-                    assert entry is not None, (
-                        f"core {core} holds untracked block "
-                        f"{cache_line.block:#x}")
-                    if cache_line.state.is_unique:
-                        assert entry.owner == core, (
-                            f"unique copy of {cache_line.block:#x} at core "
-                            f"{core} but directory owner={entry.owner}")
-                    else:
-                        assert core in entry.holders(), (
-                            f"core {core} holds {cache_line.block:#x} "
-                            f"({cache_line.state.name}) unknown to directory")
-        for block, cores in holders_seen.items():
-            unique_holders = [
-                c for c in cores
-                if self.privates[c].find(block)[0].state.is_unique
-            ]
-            assert len(unique_holders) <= 1, (
-                f"block {block:#x} unique at multiple cores: {unique_holders}")
-            if unique_holders:
-                assert len(cores) == 1, (
-                    f"block {block:#x} unique at core {unique_holders[0]} "
-                    f"but also held by {cores}")

@@ -7,11 +7,11 @@ ranked object table reproduces the shape; ``alpha`` around 1.1 gives
 the classic 80/20 concentration, smaller exponents flatten towards
 uniform and larger ones sharpen the head.
 
-Unlike :mod:`repro.service.loadgen` (which pre-materializes whole
-request traces for load tests), this sampler is *incremental*: each
-thread owns one seeded sampler and draws object ranks as its program
-generator runs, so workload memory stays O(objects) rather than
-O(operations) and per-thread streams are independent yet reproducible.
+The sampler is *incremental*: each thread owns one seeded sampler and
+draws object ranks as its program generator runs, so workload memory
+stays O(objects) rather than O(operations) and per-thread streams are
+independent yet reproducible.  It is also the only Zipf sampler in the
+package; the service load test replays a trace drawn from it.
 """
 
 from __future__ import annotations

@@ -150,6 +150,11 @@ MUTATIONS = [
     ("counter", "dynamo-metric", "policy-conformance",
      lambda: mock.patch.object(DynamoMetricPolicy, "on_invalidation",
                                lambda self, block, now: None)),
+    # store hit on a Shared line without the CleanUnique upgrade: the
+    # writer goes UD while the other core keeps its copy.
+    ("rw-upgrade", "all-near", "swmr",
+     lambda: mock.patch.object(Machine, "_upgrade",
+                               lambda self, core, block, now, **kw: now)),
 ]
 
 

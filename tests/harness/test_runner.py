@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.harness.runner import (Runner, RunSpec, best_static_speedups,
+from repro.harness.executor import RunSpec
+from repro.harness.runner import (Runner, best_static_speedups,
                                   speedups_vs_baseline)
 from repro.sim.config import DEFAULT_CONFIG
 

@@ -2,7 +2,7 @@
 
 The bus must be invisible to timing (identical cycles with and without
 event sinks), its stock sinks must be fused with the machine's hot-path
-counters, and the opt-in sinks (trace, assertion, collector) must see a
+counters, and the opt-in sinks (trace, sanitizer, collector) must see a
 stream that reconciles exactly with the run's final statistics.
 """
 
@@ -16,8 +16,9 @@ from repro.frontend import isa
 from repro.frontend.program import GeneratorProgram
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import run
-from repro.sim.events import (AssertionSink, CollectorSink, EventBus,
-                              EventKind, StatsSink, TraceSink, TrafficSink)
+from repro.analysis.modelcheck.sanitize import SanitizerSink
+from repro.sim.events import (CollectorSink, EventBus, EventKind, StatsSink,
+                              TraceSink, TrafficSink)
 from repro.sim.machine import Machine
 from repro.sync.mutex import PthreadMutex
 
@@ -199,7 +200,7 @@ def test_assertion_sink_contended_lock(policy):
     """Coherence invariants hold mid-run under a contended pthread mutex."""
     bus = EventBus()
     machine = Machine(TINY_CONFIG, policy, bus=bus)
-    sink = bus.subscribe(AssertionSink(machine, full_check_every=32))
+    sink = bus.subscribe(SanitizerSink(full_check_every=1))
     mutex = PthreadMutex(0x10000)
     counter = 0x10040
     rounds = 10
@@ -207,4 +208,5 @@ def test_assertion_sink_contended_lock(policy):
                 for _ in range(TINY_CONFIG.num_cores)]
     run(machine, programs, max_cycles=50_000_000)
     assert sink.checks > 0, "contended locking must exercise the checker"
+    assert sink.sweeps == sink.checks
     assert machine.read_value(counter) == rounds * TINY_CONFIG.num_cores

@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coherence.invariants import check_swmr
 from repro.core.registry import POLICIES
 from repro.frontend import isa
 from repro.frontend.program import GeneratorProgram
@@ -50,7 +51,7 @@ def test_coherence_invariants_after_random_run(seed, policy, num_blocks):
     programs = [random_program(seed, addrs, 120)
                 for _ in range(TINY_CONFIG.num_cores)]
     run(machine, programs, max_cycles=50_000_000)
-    machine.check_coherence_invariants()
+    assert check_swmr(machine) == []
 
 
 @settings(max_examples=10, deadline=None)

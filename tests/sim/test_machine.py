@@ -7,6 +7,7 @@ paper's Fig. 2.
 
 import pytest
 
+from repro.coherence.invariants import check_swmr
 from repro.coherence.states import CacheState
 from repro.frontend import isa
 from repro.sim.config import TINY_CONFIG
@@ -237,4 +238,4 @@ class TestEvictions:
         for i in range(200):
             m.execute(i % 4, isa.write(0x100000 + i * 64 * 17, i), now)
             now += 50
-        m.check_coherence_invariants()
+        assert check_swmr(m) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coherence.invariants import check_swmr
 from repro.coherence.states import CacheState
 from repro.frontend import isa
 from repro.sim.config import TINY_CONFIG
@@ -109,7 +110,7 @@ class TestSharedDirty:
         target = sd_blocks[0]
         m.execute(2, isa.read(target * 64), now)
         assert m.read_value(target * 64) == target
-        m.check_coherence_invariants()
+        assert check_swmr(m) == []
 
 
 class TestUpgradePath:

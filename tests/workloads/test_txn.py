@@ -10,6 +10,7 @@ the Table III suite gets from the Fig. 6 benchmarks).
 
 import pytest
 
+from repro.coherence.invariants import check_swmr
 from repro.frontend.isa import MemOp
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.engine import run
@@ -49,7 +50,7 @@ def test_runs_to_completion_and_commits_amos(code):
     _wl, machine, result = small_run(code)
     assert result.cycles > 0
     assert result.amos_committed > 0
-    machine.check_coherence_invariants()
+    assert check_swmr(machine) == []
 
 
 @pytest.mark.parametrize("code", NEW_CODES)
@@ -64,7 +65,7 @@ def test_deterministic_per_seed(code):
 def test_runs_under_far_policy(code):
     _wl, machine, result = small_run(code, policy="unique-near")
     assert result.cycles > 0
-    machine.check_coherence_invariants()
+    assert check_swmr(machine) == []
 
 
 @pytest.mark.parametrize("code", NEW_CODES)

@@ -7,6 +7,7 @@ the benchmark suite instead (Fig. 6).
 
 import pytest
 
+from repro.coherence.invariants import check_swmr
 from repro.frontend.isa import MemOp
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.engine import run
@@ -43,7 +44,7 @@ def test_workload_runs_to_completion_and_commits_amos(code):
     assert result.cycles > 0
     assert result.amos_committed > 0
     assert result.instructions > 0
-    machine.check_coherence_invariants()
+    assert check_swmr(machine) == []
 
 
 @pytest.mark.parametrize("code", TABLE_III_CODES)
@@ -59,7 +60,7 @@ def test_workload_runs_under_far_policy(code):
     """All workloads must be correct when every decidable AMO goes far."""
     _wl, machine, result = small_run(code, policy="unique-near")
     assert result.cycles > 0
-    machine.check_coherence_invariants()
+    assert check_swmr(machine) == []
 
 
 @pytest.mark.parametrize("code", TABLE_III_CODES)
