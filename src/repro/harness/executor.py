@@ -18,10 +18,15 @@ The harness splits an experiment into three concerns:
   specs, all memo traffic is thread-safe, and an optional byte budget
   (``$REPRO_CACHE_BYTES``) evicts least-recently-used entries from
   disk after every write.
-* **Execution** — :class:`SerialExecutor` runs cells in order in this
-  process; :class:`ParallelExecutor` fans misses out over a
-  ``concurrent.futures.ProcessPoolExecutor``.  Workers return the
-  *serialized* result dict and the parent deserializes and stores it,
+* **Execution** — both executors deduplicate a batch's misses by cache
+  key and group them by everything but the policy.  Each group runs
+  through :func:`iter_group`, which simulates one cell per distinct
+  decision sequence: the other policies of the group ride along as
+  shadows and take the leader's result when they agreed with its every
+  placement decision (DESIGN.md §9).  :class:`SerialExecutor` runs the
+  groups in order in this process; :class:`ParallelExecutor` fans them
+  out over a ``concurrent.futures.ProcessPoolExecutor``.  Workers return
+  *serialized* result dicts and the parent deserializes and stores them,
   so a parallel sweep produces byte-identical cache files to a serial
   one.
 
@@ -33,6 +38,7 @@ model revision re-runs instead of silently resurrecting drifted data.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -43,7 +49,8 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (IO, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.energy.model import EnergySink
 from repro.noc.message import MsgType, TrafficMeter
@@ -518,13 +525,17 @@ class SweepProgress:
 
 # --- execution ------------------------------------------------------------
 
-def execute_spec(spec: RunSpec,
-                 extra_sinks: Sequence[Sink] = ()) -> SimulationResult:
+def execute_spec(spec: RunSpec, extra_sinks: Sequence[Sink] = (),
+                 shadows: Optional[List[str]] = None) -> SimulationResult:
     """Simulate one cell from scratch (no cache involvement).
 
     An :class:`~repro.energy.model.EnergySink` is always attached so the
     result carries its dynamic-energy breakdown; ``extra_sinks`` adds
     instrumentation (tracing, invariant checking) for this run only.
+    ``shadows`` names other policies to run beside ``spec.policy``
+    (:func:`iter_group`); on return the list holds only those that made
+    the leader's every placement decision.  A sink that wants events
+    makes the bus active, and shadows refuse an active bus.
     """
     config = spec.resolve_config()
     bus = EventBus()
@@ -533,7 +544,7 @@ def execute_spec(spec: RunSpec,
         bus.subscribe(sink)
     wl = make_workload(spec.workload, spec.threads, scale=spec.scale,
                        seed=spec.seed, input_name=spec.input_name)
-    machine = Machine(config, spec.policy, bus=bus)
+    machine = Machine(config, spec.policy, bus=bus, shadows=shadows or ())
     for addr, value in wl.initial_values().items():
         machine.poke_value(addr, value)
     result = engine_run(machine, wl.programs(), max_cycles=MAX_CYCLES)
@@ -549,7 +560,48 @@ def execute_spec(spec: RunSpec,
         "amo_footprint_bytes": wl.amo_footprint_bytes,
     })
     bus.close()
+    if shadows:
+        shadows[:] = machine.live_shadows
     return result
+
+
+def iter_group(specs: Sequence[RunSpec]
+               ) -> Iterator[Tuple[int, SimulationResult]]:
+    """Simulate cells that differ only in policy; yield ``(index, result)``.
+
+    Each round simulates the first pending spec as the leader with every
+    other pending policy as a shadow.  It yields the leader's result,
+    then one result per shadow that agreed with every decision: the
+    leader's serialized result with only ``policy`` replaced,
+    deserialized into fresh objects.  Shadows that disagreed form the
+    next round.  A policy's run depends on the policy only through its
+    placement answers (hooks mutate policy state alone), so every result
+    is bit-identical to :func:`execute_spec` of its spec alone, and the
+    group costs one simulation per distinct decision sequence.
+
+    Raises:
+        ValueError: if two specs differ in more than their policy.
+    """
+    if not specs:
+        return
+    first = specs[0]
+    for spec in specs:
+        if dataclasses.replace(spec, policy=first.policy) != first:
+            raise ValueError(f"{spec_label(spec)} and {spec_label(first)} "
+                             f"differ in more than their policy")
+    pending = list(range(len(specs)))
+    while pending:
+        lead, rest = pending[0], pending[1:]
+        agreed = [specs[i].policy for i in rest]
+        result = execute_spec(specs[lead], shadows=agreed)
+        yield lead, result
+        if agreed:
+            data = serialize_result(result)
+            for i in rest:
+                if specs[i].policy in agreed:
+                    yield i, deserialize_result(copy.deepcopy(
+                        dict(data, policy=specs[i].policy)))
+        pending = [i for i in rest if specs[i].policy not in agreed]
 
 
 def _execute_serialized(spec: RunSpec) -> Dict:
@@ -562,8 +614,56 @@ def _execute_serialized(spec: RunSpec) -> Dict:
     return serialize_result(execute_spec(spec))
 
 
+def _execute_group_serialized(specs: Sequence[RunSpec]) -> List[Dict]:
+    """Worker entry point of a sweep: one policy group, serialized in
+    the order of ``specs``."""
+    out: List[Dict] = [{}] * len(specs)
+    for i, result in iter_group(specs):
+        out[i] = serialize_result(result)
+    return out
+
+
+#: One group of a batch's misses: ``(spec, batch indices)`` per distinct
+#: cell, all specs differing only in policy.
+_Group = List[Tuple[RunSpec, List[int]]]
+
+
+def _plan_misses(store: ResultStore, specs: Sequence[RunSpec]
+                 ) -> Tuple[List[Optional[SimulationResult]], List[_Group]]:
+    """Cache pass over a batch: the hits by index, and the misses
+    deduplicated by cache key and grouped by spec-minus-policy (groups
+    and their members in first-appearance order)."""
+    results: List[Optional[SimulationResult]] = [None] * len(specs)
+    misses: Dict[str, Tuple[RunSpec, List[int]]] = {}
+    for i, spec in enumerate(specs):
+        cached = store.load(spec)
+        if cached is not None:
+            results[i] = cached
+        else:
+            misses.setdefault(spec.cache_key(), (spec, []))[1].append(i)
+    groups: Dict[RunSpec, _Group] = {}
+    for spec, idxs in misses.values():
+        key = dataclasses.replace(spec, policy="")
+        groups.setdefault(key, []).append((spec, idxs))
+    return results, list(groups.values())
+
+
+def _publish(store: ResultStore, results: List[Optional[SimulationResult]],
+             spec: RunSpec, idxs: List[int],
+             result: SimulationResult) -> None:
+    """Store one computed cell and fill its batch slots."""
+    store.store(spec, result)
+    for i in idxs:
+        results[i] = result
+
+
 class SerialExecutor:
-    """Runs cells one after another in the calling process."""
+    """Runs cells one after another in the calling process.
+
+    Misses are deduplicated and run group by group through
+    :func:`iter_group`; each result is stored as soon as its round
+    finishes, so a merged cell lands right after its leader.
+    """
 
     jobs = 1
 
@@ -580,32 +680,26 @@ class SerialExecutor:
 
     def run_many(self, specs: Iterable[RunSpec]) -> List[SimulationResult]:
         specs = list(specs)
-        results: List[Optional[SimulationResult]] = [
-            self.store.load(spec) for spec in specs]
-        progress = SweepProgress(sum(1 for r in results if r is None))
-        for i, spec in enumerate(specs):
-            if results[i] is not None:
-                continue
-            # A duplicate spec earlier in the batch may have filled the
-            # memo since the first cache pass.
-            cached = self.store.load(spec)
-            if cached is not None:
-                results[i] = cached
-                continue
-            result = execute_spec(spec)
-            self.store.store(spec, result)
-            results[i] = result
-            progress.step(spec)
+        results, groups = _plan_misses(self.store, specs)
+        progress = SweepProgress(sum(len(group) for group in groups))
+        for group in groups:
+            for j, result in iter_group([spec for spec, _ in group]):
+                spec, idxs = group[j]
+                _publish(self.store, results, spec, idxs, result)
+                progress.step(spec)
         return results  # type: ignore[return-value]
 
 
 class ParallelExecutor:
-    """Fans cache misses out over a process pool.
+    """Fans cache misses out over a process pool, one task per group.
 
     Results are returned in the order of ``specs``.  Duplicate specs in
-    one batch are simulated once.  The pool is created per batch: worker
-    processes hold no state between batches, and a batch of all-hits
-    never spawns a pool at all.
+    one batch are simulated once, and cells that differ only in policy
+    go to one worker as a group (:func:`iter_group`).  A batch with
+    fewer groups than ``jobs`` splits each group into strided parts, so
+    every worker gets a task; merges then happen within a part only.
+    The pool is created per batch: worker processes hold no state
+    between batches, and a batch of all-hits never spawns a pool at all.
     """
 
     def __init__(self, jobs: int,
@@ -616,31 +710,32 @@ class ParallelExecutor:
         self.store = store if store is not None else ResultStore()
 
     def run(self, spec: RunSpec) -> SimulationResult:
-        return self.run_many([spec])[0]
+        cached = self.store.load(spec)
+        if cached is not None:
+            return cached
+        result = execute_spec(spec)
+        self.store.store(spec, result)
+        return result
 
     def run_many(self, specs: Iterable[RunSpec]) -> List[SimulationResult]:
         specs = list(specs)
-        results: List[Optional[SimulationResult]] = [None] * len(specs)
-        misses: Dict[str, Tuple[RunSpec, List[int]]] = {}
-        for i, spec in enumerate(specs):
-            cached = self.store.load(spec)
-            if cached is not None:
-                results[i] = cached
-            else:
-                misses.setdefault(spec.cache_key(), (spec, []))[1].append(i)
-        if misses:
-            progress = SweepProgress(len(misses))
+        results, groups = _plan_misses(self.store, specs)
+        if groups:
+            progress = SweepProgress(sum(len(group) for group in groups))
+            parts = -(-self.jobs // len(groups))
+            tasks = [group[k::parts] for group in groups
+                     for k in range(min(parts, len(group)))]
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 futures = {
-                    pool.submit(_execute_serialized, spec): (spec, idxs)
-                    for spec, idxs in misses.values()}
+                    pool.submit(_execute_group_serialized,
+                                [spec for spec, _ in task]): task
+                    for task in tasks}
                 for future in as_completed(futures):
-                    spec, idxs = futures[future]
-                    result = deserialize_result(future.result())
-                    self.store.store(spec, result)
-                    for i in idxs:
-                        results[i] = result
-                    progress.step(spec)
+                    for (spec, idxs), data in zip(futures[future],
+                                                  future.result()):
+                        _publish(self.store, results, spec, idxs,
+                                 deserialize_result(data))
+                        progress.step(spec)
         return results  # type: ignore[return-value]
 
 

@@ -18,7 +18,12 @@ committed to the repository at ``tests/golden/digests.json``:
   on the event stream; the trace hash catches the difference.
 
 ``repro golden`` recomputes the corpus and compares (exit 1 on any
-drift); ``repro golden --update`` is the only way to regenerate the
+drift).  It then runs the same specs once more as one batch through the
+grouped sweep path (:class:`~repro.harness.executor.SerialExecutor` over
+a disabled store, where decision-equivalent policies of a workload share
+one simulation) and compares every ``result_sha256`` too, so a merged
+cell that is not bit-identical to its own run fails the check.
+``repro golden --update`` is the only way to regenerate the
 committed digests, and is meant to be run exactly when a PR
 *deliberately* changes simulated behaviour — the diff of
 ``digests.json`` then documents the blast radius cell by cell.
@@ -36,7 +41,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.executor import (RunSpec, execute_spec, make_spec,
+from repro.harness.executor import (ResultStore, RunSpec, SerialExecutor,
+                                    execute_spec, make_spec,
                                     serialize_result)
 from repro.sim.events import Event, Sink
 from repro.sim.results import SimulationResult
@@ -151,6 +157,22 @@ def compute_digests(specs: Optional[Sequence[RunSpec]] = None,
     return {cell_key(spec): digest for spec, digest in zip(specs, digests)}
 
 
+def grouped_problems(cells: Dict[str, Dict[str, object]]) -> List[str]:
+    """Run the grid as one batch through the grouped sweep path and
+    report every cell whose ``result_sha256`` differs from ``cells``."""
+    specs = golden_specs()
+    results = SerialExecutor(ResultStore(enabled=False)).run_many(specs)
+    problems = []
+    for spec, result in zip(specs, results):
+        key = cell_key(spec)
+        want = cells.get(key, {}).get("result_sha256")
+        got = result_fingerprint(result)
+        if got != want:
+            problems.append(f"{key}: grouped result_sha256 {want!r} -> "
+                            f"{got!r}")
+    return problems
+
+
 def load_digests(path: str = DEFAULT_DIGEST_PATH) -> Dict:
     """Read the committed corpus.
 
@@ -205,7 +227,9 @@ def golden_main(path: str = DEFAULT_DIGEST_PATH, update: bool = False,
     Check mode (default) recomputes every cell and fails on any
     difference from the committed corpus — including missing or extra
     cells and a changed grid fingerprint.  ``--update`` rewrites the
-    corpus and reports what changed; it never runs implicitly.
+    corpus and reports what changed; it never runs implicitly.  Check
+    mode also runs the grid through the grouped sweep path
+    (:func:`grouped_problems`) against the committed corpus.
     """
     fresh = compute_digests(jobs=jobs)
     fingerprint = grid_fingerprint()
@@ -250,6 +274,7 @@ def golden_main(path: str = DEFAULT_DIGEST_PATH, update: bool = False,
         problems.append(f"{key}: in the grid but not committed")
     for key in sorted(set(fresh) & set(old_cells)):
         problems.extend(compare_cell(key, old_cells[key], fresh[key]))
+    problems.extend(grouped_problems(old_cells))
 
     if problems:
         report = [f"golden: {len(problems)} mismatch(es) against {path}:"]
@@ -259,4 +284,5 @@ def golden_main(path: str = DEFAULT_DIGEST_PATH, update: bool = False,
             "intentional, regenerate with `repro golden --update` and "
             "commit the digest diff")
         return 1, "\n".join(report)
-    return 0, (f"golden: {len(fresh)} cells bit-identical to {path}")
+    return 0, (f"golden: {len(fresh)} cells bit-identical to {path}, "
+               f"also through the grouped sweep path")

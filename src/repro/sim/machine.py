@@ -27,12 +27,12 @@ corpus (``repro golden``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.coherence.directory import DirectoryState, HomeNode
 from repro.coherence.l1 import Departure, PrivateCacheHierarchy
 from repro.coherence.states import CacheState
-from repro.core.policy import Placement, PolicyStats
+from repro.core.policy import AmoPolicy, Placement, PolicyStats
 from repro.core.registry import make_policy
 from repro.frontend.isa import (MARK_NAMES, AmoKind, MemOp, OpType,
                                 apply_amo)
@@ -97,10 +97,20 @@ class Machine:
             components emit typed events to it, and the hot-path
             counters (``stats``, ``traffic``) are aliases of the bus's
             fused stock-sink stores.
+        shadows: other policy names to run as *shadows* beside the
+            leader ``policy_name`` (policy sweeps, DESIGN.md §9).  A
+            shadow decides every AMO the leader decides, on the same
+            ``(block, state, now)``, and learns from the same hooks; the
+            first time its answer differs it is dropped on every core.
+            A shadow still in :attr:`live_shadows` after the run made
+            the leader's every decision, so its own run would have been
+            the leader's, bit for bit.  Needs a quiet bus: events and
+            ``audit_info`` describe the leader only.
     """
 
     def __init__(self, config: SystemConfig, policy_name: str = "all-near",
-                 bus: Optional[EventBus] = None) -> None:
+                 bus: Optional[EventBus] = None,
+                 shadows: Sequence[str] = ()) -> None:
         self.config = config
         self.policy_name = policy_name
         self.bus = bus if bus is not None else EventBus()
@@ -116,6 +126,13 @@ class Machine:
         self.home_nodes = [HomeNode(s, config, bus=self.bus)
                            for s in range(config.llc_slices)]
         self.directory = DirectoryState()
+        if shadows and self.bus.active:
+            raise ValueError("shadow policies need a quiet bus: events "
+                             "and audit_info describe the leader only")
+        self._shadows: Dict[str, List[AmoPolicy]] = {
+            name: [make_policy(name, config)
+                   for _ in range(config.num_cores)]
+            for name in shadows}
         self.policies = [make_policy(policy_name, config)
                          for _ in range(config.num_cores)]
         self.policy_stats = [PolicyStats() for _ in range(config.num_cores)]
@@ -177,6 +194,51 @@ class Machine:
         # compute.  The helpers' ``if bd is not None`` guards sit off the
         # L1-hit fast paths, so default-mode cost is zero.
         self._bd: Optional[Dict[str, int]] = None
+
+    # ------------------------------------------------------------------
+    # policies: the leader, its shadows and the learning-hook lists
+    # ------------------------------------------------------------------
+
+    @property
+    def policies(self) -> List[AmoPolicy]:
+        """The leader's per-core policy instances."""
+        return self._policies
+
+    @policies.setter
+    def policies(self, policies: Iterable[AmoPolicy]) -> None:
+        self._policies = list(policies)
+        self._bind_hooks()
+
+    @property
+    def live_shadows(self) -> Tuple[str, ...]:
+        """Shadows that have agreed with every leader decision so far."""
+        return tuple(self._shadows)
+
+    def _bind_hooks(self) -> None:
+        """Build the per-core dispatch lists of the hot path.
+
+        Each learning hook gets a per-core list of the bound methods of
+        the leader and the live shadows; ``_shadow_decide`` holds each
+        core's live ``(name, decide)`` pairs.  Assigning
+        :attr:`policies` rebuilds them.
+        """
+        shadows = list(self._shadows.values())
+        per_core = [[leader] + [shadow[c] for shadow in shadows]
+                    for c, leader in enumerate(self._policies)]
+        self._near_hooks = [[p.on_near_amo for p in ps] for ps in per_core]
+        self._inval_hooks = [[p.on_invalidation for p in ps]
+                             for ps in per_core]
+        self._depart_hooks = [[p.on_block_departure for p in ps]
+                              for ps in per_core]
+        self._shadow_decide = [
+            [(name, shadow[c].decide)
+             for name, shadow in self._shadows.items()]
+            for c in range(len(self._policies))]
+
+    def _drop_shadow(self, name: str) -> None:
+        """Stop running shadow ``name`` on every core (it disagreed)."""
+        del self._shadows[name]
+        self._bind_hooks()
 
     # ------------------------------------------------------------------
     # public API
@@ -805,7 +867,7 @@ class Machine:
             decided = False
             stats.near_amo_unique_hits += 1
         else:
-            policy = self.policies[core]
+            policy = self._policies[core]
             if self.bus.stamps:
                 # Side-effect-free pre-decide snapshot (decide allocates
                 # AMT entries on miss, so peek must come first).
@@ -813,6 +875,9 @@ class Machine:
             placement = policy.decide(block, state, now)
             decided = True
             self.policy_stats[core].record(placement)
+            for name, decide in self._shadow_decide[core]:
+                if decide(block, state, now) is not placement:
+                    self._drop_shadow(name)
         # Per-core atomic ordering: wait for the previous AMO to complete.
         free = self._amo_free[core]
         start = now if now >= free else free
@@ -910,7 +975,8 @@ class Machine:
         old = self._apply_amo_value(op)
         stats.near_amos += 1
         stats.amo_latency_sum += exec_done - now
-        self.policies[core].on_near_amo(block, now)
+        for hook in self._near_hooks[core]:
+            hook(block, now)
         bd = self._bd
         if bd is not None:
             bd["alu"] = bd.get("alu", 0) + self._alu_lat
@@ -1141,11 +1207,11 @@ class Machine:
             rtt = t_dir + to_holder + l1_lat + back
             if rtt > snoop_done:
                 snoop_done = rtt
-            policy = self.policies[holder]
-            policy.on_invalidation(block, now)
+            for hook in self._inval_hooks[holder]:
+                hook(block, now)
             if was_in_l1:
-                policy.on_block_departure(block, line.fetched_by_amo,
-                                          line.reused, now)
+                for hook in self._depart_hooks[holder]:
+                    hook(block, line.fetched_by_amo, line.reused, now)
         return snoop_done
 
     def _handle_departures(self, core: int, departures: List[Departure],
@@ -1157,8 +1223,8 @@ class Machine:
                 # L1 -> L2 spill: ends the L1D residency the reuse
                 # predictor tracks.
                 self.stats.l1_evictions += 1
-                self.policies[core].on_block_departure(
-                    line.block, line.fetched_by_amo, line.reused, now)
+                for hook in self._depart_hooks[core]:
+                    hook(line.block, line.fetched_by_amo, line.reused, now)
                 line.fetched_by_amo = False
                 line.reused = False
                 continue

@@ -41,6 +41,26 @@ def test_record_carries_environment_metadata(monkeypatch):
     assert record["cpu_count"] >= 1
 
 
+def test_run_bench_simulates_every_cell(monkeypatch):
+    """No two bench cells make the same placement decisions, so grouping
+    never merges them: the gate keeps timing one simulation per cell."""
+    import repro.harness.executor as ex
+
+    calls = []
+    real = ex.engine_run
+
+    def counting(machine, *args, **kwargs):
+        calls.append(machine.policy_name)
+        return real(machine, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "engine_run", counting)
+    from repro.obs.bench import run_bench
+
+    record = run_bench()
+    assert len(calls) == len(BENCH_GRID)
+    assert len(record["cells"]) == len(BENCH_GRID)
+
+
 # --- history file -----------------------------------------------------
 
 

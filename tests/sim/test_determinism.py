@@ -3,9 +3,11 @@
 The golden corpus pins behaviour *across revisions*; these tests pin it
 *within* a revision: the same seeded spec must produce an identical
 ``SimulationResult`` when re-run in-process, when fanned out through
-``ParallelExecutor`` worker processes, and when run in two separate
-fresh interpreters (which catches accidental dependence on dict order,
-``id()``, ``hash()`` randomization, or module import order).
+``ParallelExecutor`` worker processes, when it shares a simulation with
+the decision-equivalent policies of its group in a sweep, and when run
+in two separate fresh interpreters (which catches accidental dependence
+on dict order, ``id()``, ``hash()`` randomization, or module import
+order).
 """
 
 import json
@@ -13,6 +15,7 @@ import os
 import subprocess
 import sys
 
+from repro.core.registry import DYNAMO_POLICY_NAMES, STATIC_POLICY_NAMES
 from repro.harness.executor import (ParallelExecutor, ResultStore,
                                     SerialExecutor, execute_spec, make_spec,
                                     serialize_result)
@@ -49,6 +52,19 @@ def test_serial_vs_parallel_executor_identical():
         assert _canonical(a) == _canonical(b), (
             f"{spec.workload}/{spec.policy} differs between serial and "
             f"parallel execution")
+
+
+def test_grouped_sweep_matches_single_cells():
+    """A batch over all 8 policies of one workload, where some policies
+    share a simulation, equals per-cell ``execute_spec`` bit for bit."""
+    specs = [make_spec("HIST", policy, **SPEC_ARGS)
+             for policy in STATIC_POLICY_NAMES + DYNAMO_POLICY_NAMES]
+    assert len(specs) == 8
+    grouped = SerialExecutor(ResultStore(enabled=False)).run_many(specs)
+    for spec, result in zip(specs, grouped):
+        assert _canonical(result) == _canonical(execute_spec(spec)), (
+            f"{spec.workload}/{spec.policy} differs between its grouped "
+            f"and its single-cell run")
 
 
 def _run_in_fresh_interpreter(workload, policy):
