@@ -14,6 +14,7 @@ The load-bearing invariants:
   against the checked-in schemas CI also uses.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -97,6 +98,15 @@ class TestTimingNeutrality:
     #: Cheapest golden cells (by committed trace_events).
     CELLS = (("WAT", "present-near"), ("OCE", "present-near"),
              ("WAT", "dynamo-reuse-pn"))
+    #: sha256 of each cell's ``TraceSink(stamps=True)`` JSONL stream.
+    STAMPED_STREAM_SHA256 = {
+        "WAT/present-near":
+            "6debe017106d3518ded066e13a823128c161d2e1999c7341b9b7deb68407c184",
+        "OCE/present-near":
+            "3eb5a6b49b8bc37736660a3eb940ba1b241bfd704913c20400a319c192b7d994",
+        "WAT/dynamo-reuse-pn":
+            "13bc4502572da67c926a02f311ac4a20d82acdf3968dfb1d33c02bc89f9f50b1",
+    }
 
     @pytest.fixture(scope="class")
     def digests(self):
@@ -119,6 +129,27 @@ class TestTimingNeutrality:
         assert result.amos_committed == cell["amos"]
         assert result.stats.near_amos == cell["near_amos"]
         assert result.stats.far_amos == cell["far_amos"]
+
+    @pytest.mark.parametrize("workload,policy", CELLS)
+    def test_stamped_trace_stream_is_pinned(self, digests, workload, policy):
+        """The stamped event stream itself is pinned, not just its sums.
+
+        Shifting cycles between blame categories (say ``hn_line`` into
+        ``hn_busy``) keeps every breakdown summing to its latency; only
+        a hash of the full stream notices.
+        """
+        grid = digests["grid"]
+        spec = make_spec(workload, policy, threads=grid["threads"],
+                         scale=grid["scale"], seed=grid["seed"])
+        buf = io.StringIO()
+        stamped = execute_spec(spec,
+                               extra_sinks=(TraceSink(buf, stamps=True),))
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == self.STAMPED_STREAM_SHA256[f"{workload}/{policy}"]
+        plain = execute_spec(spec)
+        assert stamped.stats.as_dict() == plain.stats.as_dict()
+        assert stamped.traffic.by_type() == plain.traffic.by_type()
+        assert stamped.traffic.flit_hops == plain.traffic.flit_hops
 
 
 # --- exact decomposition ----------------------------------------------
