@@ -90,26 +90,27 @@ class Mesh:
             [h * per_hop + router_latency for h in row]
             for row in self.c2c_hops]
 
-    def record(self, msg: MsgType, hops: int, count: int = 1,
+    def record(self, msg: MsgType, hops: int,
                enqueue: Optional[int] = None,
                dequeue: Optional[int] = None) -> None:
-        """Account ``count`` messages of class ``msg`` travelling ``hops``.
+        """Account one message of class ``msg`` travelling ``hops``.
 
         The mesh is the single gateway for protocol-message accounting:
-        it feeds the fused traffic meter and, when event sinks are
-        attached, emits a MESSAGE event per call.  Request messages that
-        serialize at a home node pass ``enqueue`` (arrival cycle at the
-        ordering point) and ``dequeue`` (the cycle the HN started
-        servicing them); the difference is the message's queueing delay,
-        which observability sinks histogram.
+        every message :class:`~repro.sim.machine.Machine` sends comes
+        through here.  It feeds the fused traffic meter and, only when
+        event sinks are attached, emits a MESSAGE event.  Request
+        messages that serialize at a home node pass ``enqueue`` (arrival
+        cycle at the ordering point) and ``dequeue`` (the cycle the HN
+        started servicing them); the difference is the message's
+        queueing delay, which observability sinks histogram.
         """
         meter = self._traffic
         if meter is None:
             return
         # Inlined TrafficMeter.record: this is the most frequent
         # accounting call in a simulation.
-        meter.messages[msg] += count
-        flits = msg.flits * count
+        meter.messages[msg] += 1
+        flits = msg.flits
         meter.flits += flits
         meter.flit_hops += flits * hops
         bus = self.bus
@@ -118,7 +119,7 @@ class Mesh:
             # in repro.noc.message, so a top-level import would be
             # circular for any entry through the noc package.
             from repro.sim.events import Event, EventKind
-            info: dict = {"msg": msg.name, "hops": hops, "count": count}
+            info: dict = {"msg": msg.name, "hops": hops, "count": 1}
             if enqueue is not None and dequeue is not None:
                 info["enqueue"] = enqueue
                 info["dequeue"] = dequeue

@@ -77,12 +77,14 @@ def run(machine: Machine, programs: Iterable[Program],
     write_h = machine._write
     bus = machine.bus
     if bus.stamps:
-        # Attribution sinks subscribed: bind the stamped wrappers, which
-        # run the same handlers (identical timing) but additionally
-        # collect per-op cycle breakdowns and emit OP_RETIRE events.
-        read_h = machine._read_stamped
-        amo_h = machine._amo_stamped
-        write_h = machine._write_stamped
+        # Attribution sinks subscribed: wrap the handlers bound above
+        # (read from the instance, so per-instance patches still apply).
+        # The wrappers keep the handlers' timing but also collect per-op
+        # cycle breakdowns and emit OP_RETIRE events.
+        stamp = machine._stamp
+        read_h = stamp(read_h)
+        amo_h = stamp(amo_h)
+        write_h = stamp(write_h)
     # sys.maxsize keeps the timeout compare a plain int compare when no
     # budget is set (a simulation cannot reach 2**63 cycles).
     limit = max_cycles if max_cycles is not None else sys.maxsize

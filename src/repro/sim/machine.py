@@ -22,14 +22,22 @@ chains over two or three ints are flattened to compares, and the
 directory holder sets are walked without building union sets.  Every
 transformation here is behaviour-preserving by definition of the golden
 corpus (``repro golden``).
+
+Accounting is stated once per concern.  Every protocol message goes
+through :meth:`Mesh.record`, which feeds the traffic meter and emits the
+MESSAGE event only when sinks are attached.  Every home-node transaction
+opens with the same request leg, :meth:`Machine._home_request`.  Cycle
+blame comes from one wrapper, :meth:`Machine._stamp`, which runs a
+handler unchanged and emits its OP_RETIRE event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
-from repro.coherence.directory import DirectoryState, HomeNode
+from repro.coherence.directory import DirEntry, DirectoryState, HomeNode
 from repro.coherence.l1 import Departure, PrivateCacheHierarchy
 from repro.coherence.states import CacheState
 from repro.core.policy import AmoPolicy, Placement, PolicyStats
@@ -43,24 +51,22 @@ from repro.noc.message import MsgType
 from repro.sim.config import SystemConfig
 from repro.sim.events import Event, EventBus, EventKind
 
-# Message-class members and their flit sizes, bound as module constants
-# for the inline traffic accounting in the handlers below (the inline
-# form is TrafficMeter.record with count=1; mesh.record remains the
-# gateway whenever event sinks are attached).
-_READ_REQ, _F_READ_REQ = MsgType.READ_REQ, MsgType.READ_REQ.flits
-_ATOMIC_REQ, _F_ATOMIC_REQ = MsgType.ATOMIC_REQ, MsgType.ATOMIC_REQ.flits
-_COMP_DATA, _F_COMP_DATA = MsgType.COMP_DATA, MsgType.COMP_DATA.flits
-_COMP_ACK, _F_COMP_ACK = MsgType.COMP_ACK, MsgType.COMP_ACK.flits
-_AMO_DATA, _F_AMO_DATA = MsgType.AMO_DATA, MsgType.AMO_DATA.flits
-_SNOOP, _F_SNOOP = MsgType.SNOOP, MsgType.SNOOP.flits
-_SNOOP_RESP, _F_SNOOP_RESP = MsgType.SNOOP_RESP, MsgType.SNOOP_RESP.flits
-_SNOOP_DATA, _F_SNOOP_DATA = MsgType.SNOOP_DATA, MsgType.SNOOP_DATA.flits
-_WRITEBACK, _F_WRITEBACK = MsgType.WRITEBACK, MsgType.WRITEBACK.flits
-_EVICT_NOTIFY, _F_EVICT_NOTIFY = (MsgType.EVICT_NOTIFY,
-                                  MsgType.EVICT_NOTIFY.flits)
-_MEM_READ, _F_MEM_READ = MsgType.MEM_READ, MsgType.MEM_READ.flits
-_MEM_DATA, _F_MEM_DATA = MsgType.MEM_DATA, MsgType.MEM_DATA.flits
-_MEM_WRITE, _F_MEM_WRITE = MsgType.MEM_WRITE, MsgType.MEM_WRITE.flits
+# Message classes bound as module constants: an attribute load on an
+# Enum class goes through EnumType.__getattr__, several times the cost
+# of a global load, and the handlers name one per message they send.
+_AMO_DATA = MsgType.AMO_DATA
+_ATOMIC_REQ = MsgType.ATOMIC_REQ
+_COMP_ACK = MsgType.COMP_ACK
+_COMP_DATA = MsgType.COMP_DATA
+_EVICT_NOTIFY = MsgType.EVICT_NOTIFY
+_MEM_DATA = MsgType.MEM_DATA
+_MEM_READ = MsgType.MEM_READ
+_MEM_WRITE = MsgType.MEM_WRITE
+_READ_REQ = MsgType.READ_REQ
+_SNOOP = MsgType.SNOOP
+_SNOOP_DATA = MsgType.SNOOP_DATA
+_SNOOP_RESP = MsgType.SNOOP_RESP
+_WRITEBACK = MsgType.WRITEBACK
 
 
 class DeferredRead:
@@ -172,27 +178,22 @@ class Machine:
         self._c2s_hops = self.mesh.c2s_hops
         self._s2c_hops = self.mesh.s2c_hops
         self._c2c_hops = self.mesh.c2c_hops
+        # The one gateway for protocol-message accounting (traffic meter,
+        # plus MESSAGE events when sinks are attached).
         self._record = self.mesh.record
-        # Per-core L1/L2 set arrays (geometry is identical across cores),
-        # the directory's entry dict, and the traffic meter — aliased for
-        # the inlined lookup and accounting fast paths in the handlers.
-        # The inline accounting below is exactly TrafficMeter.record with
-        # count=1; whenever the bus is active (event sinks attached) the
-        # handlers fall back to mesh.record, the single gateway that also
-        # emits MESSAGE events.
+        # Per-core L1/L2 set arrays (geometry is identical across cores)
+        # and the directory's entry dict, aliased for the inlined lookup
+        # fast paths in the handlers.
         self._l1sets = [p._l1_sets for p in self.privates]
         self._l2sets = [p._l2_sets for p in self.privates]
         self._l1n = self.privates[0]._l1_nsets if self.privates else 1
         self._l2n = self.privates[0]._l2_nsets if self.privates else 1
         self._dir_entries = self.directory._entries
-        self._tmeter = self.mesh._traffic
-        self._tmsgs = (self._tmeter.messages
-                       if self._tmeter is not None else None)
         # Per-op cycle-breakdown scratch (attribution stamps).  None on
-        # the default path; the stamped wrappers install a fresh dict per
-        # op and the transaction helpers add the components they already
-        # compute.  The helpers' ``if bd is not None`` guards sit off the
-        # L1-hit fast paths, so default-mode cost is zero.
+        # the default path; the :meth:`_stamp` wrapper installs a fresh
+        # dict per op and the transaction helpers add the components they
+        # already compute.  The helpers' ``if bd is not None`` guards sit
+        # off the L1-hit fast paths, so default-mode cost is zero.
         self._bd: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
@@ -251,135 +252,89 @@ class Machine:
         value for AMO_LOAD, a :class:`DeferredRead` for READ (the engine
         resolves it at completion time), and None otherwise.
         """
-        self.bus.now = now
+        bus = self.bus
+        bus.now = now
         kind = op.type
-        if self.bus.stamps:
-            return self._execute_stamped(core, op, now, kind)
         if kind is OpType.READ:
-            return self._read(core, op, now)
-        if kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
-            return self._amo(core, op, now)
-        if kind is OpType.WRITE:
-            return self._write(core, op, now)
-        if kind is OpType.THINK:
+            handler = self._read
+        elif kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
+            handler = self._amo
+        elif kind is OpType.WRITE:
+            handler = self._write
+        elif kind is OpType.THINK:
             return now + op.cycles, None
-        if kind is OpType.MARK:
+        elif kind is OpType.MARK:
             # Sync phase marker: zero cycles, zero instructions, no
-            # machine state — architecturally invisible without stamps.
+            # machine state; only stamped runs see it, as a SYNC event.
+            if bus.stamps:
+                bus.emit(Event(EventKind.SYNC, now, core, op.addr >> 6,
+                               info={"what": MARK_NAMES[op.value],
+                                     "addr": op.addr}))
             return now, None
-        raise ValueError(f"unknown operation type: {kind!r}")
-
-    def _execute_stamped(self, core: int, op: MemOp, now: int,
-                         kind: OpType) -> Tuple[int, Optional[int]]:
-        """Stamped dispatch: same timing, plus OP_RETIRE/SYNC events."""
-        if kind is OpType.READ:
-            return self._read_stamped(core, op, now)
-        if kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
-            return self._amo_stamped(core, op, now)
-        if kind is OpType.WRITE:
-            return self._write_stamped(core, op, now)
-        if kind is OpType.THINK:
-            return now + op.cycles, None
-        if kind is OpType.MARK:
-            self.bus.emit(Event(EventKind.SYNC, now, core, op.addr >> 6,
-                                info={"what": MARK_NAMES[op.value],
-                                      "addr": op.addr}))
-            return now, None
-        raise ValueError(f"unknown operation type: {kind!r}")
-
-    # ------------------------------------------------------------------
-    # stamped execution (attribution): timing-identical wrappers that
-    # collect the per-category cycle breakdown the transaction helpers
-    # record into ``self._bd`` and emit one OP_RETIRE event per op.
-    # The ``bd`` dict decomposes the *core-gating* latency (what the
-    # issuing core waited); store-class ops additionally carry the
-    # breakdown of their hidden drain/execution chain so home-node and
-    # NoC work stays attributable even when the store buffer absorbs it.
-    # ------------------------------------------------------------------
-
-    def _read_stamped(self, core: int, op: MemOp,
-                      now: int) -> Tuple[int, Optional[int]]:
-        bd = self._bd = {}
-        done, result = self._read(core, op, now)
-        self._bd = None
-        lat = done - now
-        if not bd:
-            # L1/L2 hit fast paths record nothing; classify by latency.
-            bd["l1" if lat == self._l1_lat else "l2"] = lat
         else:
-            resid = lat - sum(bd.values())
-            if resid:
-                bd["other"] = resid
-        self.bus.emit(Event(EventKind.OP_RETIRE, now, core, op.addr >> 6,
-                            info={"op": "READ", "lat": lat, "bd": bd}))
-        return done, result
+            raise ValueError(f"unknown operation type: {kind!r}")
+        if bus.stamps:
+            handler = self._stamp(handler)
+        return handler(core, op, now)
 
-    def _write_stamped(self, core: int, op: MemOp,
-                       now: int) -> Tuple[int, Optional[int]]:
-        bd = self._bd = {}
-        done, result = self._write(core, op, now)
-        self._bd = None
-        lat = done - now
-        gate: Dict[str, int] = {"issue": 1}
-        stall = bd.pop("sb_stall", 0)
-        if stall:
-            gate["sb_stall"] = stall
-        resid = lat - 1 - stall
-        if resid:
-            gate["other"] = resid
-        info: Dict[str, object] = {"op": "WRITE", "lat": lat, "bd": gate}
-        if bd:
-            info["drain_bd"] = bd
-        self.bus.emit(Event(EventKind.OP_RETIRE, now, core, op.addr >> 6,
-                            info=info))
-        return done, result
+    def _stamp(self, handler: Callable[[int, MemOp, int],
+                                       Tuple[int, Optional[int]]]
+               ) -> Callable[[int, MemOp, int], Tuple[int, Optional[int]]]:
+        """Wrap a transaction handler for attribution.
 
-    def _amo_stamped(self, core: int, op: MemOp,
-                     now: int) -> Tuple[int, Optional[int]]:
-        bd = self._bd = {}
-        done, result = self._amo(core, op, now)
-        self._bd = None
-        lat = done - now
-        info: Dict[str, object] = {"op": op.type.name, "amo": op.amo.name,
-                                   "lat": lat}
-        if op.type is OpType.AMO_LOAD:
-            resid = lat - sum(bd.values())
-            if resid:
-                bd["other"] = resid
-            info["bd"] = bd
-        else:
-            # The core only waited for store-buffer admission; the AMO's
-            # execution chain is hidden work (paper Section III-B1).
-            gate: Dict[str, int] = {"issue": 1}
-            stall = bd.pop("sb_stall", 0)
-            if stall:
-                gate["sb_stall"] = stall
-            resid = lat - 1 - stall
-            if resid:
-                gate["other"] = resid
-            info["bd"] = gate
-            info["exec_bd"] = bd
-        self.bus.emit(Event(EventKind.OP_RETIRE, now, core, op.addr >> 6,
-                            info=info))
-        return done, result
+        The wrapper runs ``handler`` unchanged (identical timing), with
+        ``self._bd`` installed as the per-op breakdown the transaction
+        helpers fill in, and emits one OP_RETIRE event per op.  ``bd``
+        decomposes the *core-gating* latency (what the issuing core
+        waited).  Store-class ops also carry the breakdown of their
+        hidden drain/execution chain, so home-node and NoC work stays
+        attributable even when the store buffer absorbs it.
+        """
+        bus = self.bus
+        l1_lat = self._l1_lat
 
-    def _bd_request(self, bd: Dict[str, int], now: int, arrive: int,
-                    ordered: int, line_busy: int) -> None:
-        """Record the request leg shared by every home-node transaction:
-        NoC traversal, then per-line serialization (the paper's central
-        quantity), then structural home-node occupancy, then directory."""
-        bd["noc_req"] = bd.get("noc_req", 0) + (arrive - now)
-        wait = ordered - arrive
-        lw = line_busy - arrive
-        if lw < 0:
-            lw = 0
-        elif lw > wait:
-            lw = wait
-        if lw:
-            bd["hn_line"] = bd.get("hn_line", 0) + lw
-        if wait > lw:
-            bd["hn_busy"] = bd.get("hn_busy", 0) + (wait - lw)
-        bd["dir"] = bd.get("dir", 0) + self._dir_lat
+        def stamped(core: int, op: MemOp,
+                    now: int) -> Tuple[int, Optional[int]]:
+            bd = self._bd = {}
+            done, result = handler(core, op, now)
+            self._bd = None
+            lat = done - now
+            kind = op.type
+            info: Dict[str, object] = {"op": kind.name}
+            if op.is_amo:
+                info["amo"] = op.amo.name
+            info["lat"] = lat
+            if kind is OpType.READ or kind is OpType.AMO_LOAD:
+                if not bd:
+                    # L1/L2 hit fast paths record nothing; classify by
+                    # latency.
+                    bd["l1" if lat == l1_lat else "l2"] = lat
+                else:
+                    resid = lat - sum(bd.values())
+                    if resid:
+                        bd["other"] = resid
+                info["bd"] = bd
+            else:
+                # The core only waited for store-buffer admission; the
+                # drain (WRITE) or execution (AMO_STORE) chain is hidden
+                # work (paper Section III-B1).
+                gate: Dict[str, int] = {"issue": 1}
+                stall = bd.pop("sb_stall", 0)
+                if stall:
+                    gate["sb_stall"] = stall
+                resid = lat - 1 - stall
+                if resid:
+                    gate["other"] = resid
+                info["bd"] = gate
+                if op.is_amo:
+                    info["exec_bd"] = bd
+                elif bd:
+                    info["drain_bd"] = bd
+            bus.emit(Event(EventKind.OP_RETIRE, now, core, op.addr >> 6,
+                           info=info))
+            return done, result
+
+        return stamped
 
     def read_value(self, addr: int) -> int:
         """Architectural value currently stored at ``addr``."""
@@ -499,33 +454,10 @@ class Machine:
         Returns the core-visible completion time.
         """
         stats = self.stats
-        record = self._record
         stats.read_shared += 1
-        slice_id = block % self._nslices
-        hn = self.home_nodes[slice_id]
-        entry = self._dir_entries.get(block)
-        if entry is None:
-            entry = self.directory.entry(block)
-        arrive = now + self._c2s_lat[core][slice_id]
-        ordered = arrive
-        if entry.line_busy_until > ordered:
-            ordered = entry.line_busy_until
-        if hn.busy_until > ordered:
-            ordered = hn.busy_until
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
-        if quiet:
-            self._tmsgs[_READ_REQ] += 1
-            tm.flits += _F_READ_REQ
-            tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        else:
-            record(MsgType.READ_REQ, self._c2s_hops[core][slice_id],
-                   enqueue=arrive, dequeue=ordered)
+        slice_id, hn, entry, t_dir = self._home_request(
+            core, block, _READ_REQ, now)
         bd = self._bd
-        if bd is not None:
-            self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
-        hn.busy_until = ordered + self._hn_occ
-        t_dir = ordered + self._dir_lat
 
         owner = entry.owner
         data_from_owner = False
@@ -546,32 +478,28 @@ class Machine:
                 data_ready = t_dir + self._llc_lat
                 data_from_owner = False
                 hops = self._s2c_hops[slice_id][owner]
-                record(MsgType.SNOOP, hops)
-                record(MsgType.SNOOP_RESP, hops)
-            elif owner_line.state.is_dirty:
+                self._record(_SNOOP, hops)
+                self._record(_SNOOP_RESP, hops)
+            else:
                 self._record_snoop_traffic(slice_id, owner, with_data=True,
                                            block=block)
-                if hn.llc_fill_if_room(block):
-                    # HN takes the dirty copy; the old owner keeps a clean
-                    # shared copy (the common CHI choice).
-                    owner_priv.set_state(block, CacheState.SC)
-                    entry.owner = None
-                    entry.sharers.add(owner)
-                else:
+                dirty = owner_line.state.is_dirty
+                if dirty and not hn.llc_fill_if_room(block):
                     # LLC set full: owner keeps data responsibility in SD —
                     # the (rare) source of the SharedDirty state.
                     owner_priv.set_state(block, CacheState.SD)
+                else:
+                    # The HN takes the dirty copy (the common CHI choice)
+                    # or a clean one from a UC owner; the owner keeps a
+                    # clean shared copy.
+                    owner_priv.set_state(block, CacheState.SC)
+                    entry.owner = None
+                    entry.sharers.add(owner)
+                    if not dirty:
+                        self._llc_fill(hn, block)
                 stats.downgrades += 1
-                self._emit_downgrade(owner, block)
-            else:  # UC owner: forwards clean data, drops to SC.
-                self._record_snoop_traffic(slice_id, owner, with_data=True,
-                                           block=block)
-                owner_priv.set_state(block, CacheState.SC)
-                entry.owner = None
-                entry.sharers.add(owner)
-                self._llc_fill(hn, block)
-                stats.downgrades += 1
-                self._emit_downgrade(owner, block)
+                if self.bus.active:
+                    self._emit_downgrade(owner, block)
         elif hn.llc_lookup(block):
             data_ready = t_dir + self._llc_lat
         else:
@@ -581,10 +509,8 @@ class Machine:
         if bd is not None:
             if data_from_owner:
                 bd["snoop"] = bd.get("snoop", 0) + (data_ready - t_dir)
-            elif owner is not None and owner != core:
-                # Raced owner: sourced from the LLC after a void snoop.
-                bd["llc"] = bd.get("llc", 0) + self._llc_lat
             elif data_ready - t_dir == self._llc_lat:
+                # LLC hit, or a raced owner (LLC after a void snoop).
                 bd["llc"] = bd.get("llc", 0) + self._llc_lat
             else:
                 bd["dram"] = bd.get("dram", 0) + (data_ready - t_dir)
@@ -592,32 +518,18 @@ class Machine:
         if data_from_owner:
             # DCT: final leg is owner -> requestor; the HN frees the line
             # once the snoop acknowledgement returns.
-            entry.line_busy_until = t_dir + self._snoop_rtt(
-                slice_id, owner if owner is not None else core)
-            if quiet:
-                self._tmsgs[_COMP_DATA] += 1
-                tm.flits += _F_COMP_DATA
-                tm.flit_hops += _F_COMP_DATA * self._c2c_hops[owner][core]
-            else:
-                record(MsgType.COMP_DATA, self._c2c_hops[owner][core])
-            done = data_ready + self._c2c_lat[owner][core] + self._l1_lat
-            if bd is not None:
-                bd["noc_resp"] = (bd.get("noc_resp", 0)
-                                  + self._c2c_lat[owner][core])
-                bd["l1"] = bd.get("l1", 0) + self._l1_lat
+            entry.line_busy_until = t_dir + self._snoop_rtt(slice_id, owner)
+            resp_lat = self._c2c_lat[owner][core]
+            resp_hops = self._c2c_hops[owner][core]
         else:
             entry.line_busy_until = data_ready
-            if quiet:
-                self._tmsgs[_COMP_DATA] += 1
-                tm.flits += _F_COMP_DATA
-                tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            else:
-                record(MsgType.COMP_DATA, self._s2c_hops[slice_id][core])
-            done = data_ready + self._s2c_lat[slice_id][core] + self._l1_lat
-            if bd is not None:
-                bd["noc_resp"] = (bd.get("noc_resp", 0)
-                                  + self._s2c_lat[slice_id][core])
-                bd["l1"] = bd.get("l1", 0) + self._l1_lat
+            resp_lat = self._s2c_lat[slice_id][core]
+            resp_hops = self._s2c_hops[slice_id][core]
+        self._record(_COMP_DATA, resp_hops)
+        done = data_ready + resp_lat + self._l1_lat
+        if bd is not None:
+            bd["noc_resp"] = bd.get("noc_resp", 0) + resp_lat
+            bd["l1"] = bd.get("l1", 0) + self._l1_lat
 
         # Grant state: Unique when nobody else holds a copy.
         owner_now = entry.owner
@@ -683,31 +595,9 @@ class Machine:
         """CleanUnique: gain write permission for a block already held
         shared; invalidates all other copies, transfers no data."""
         self.stats.upgrades += 1
-        slice_id = block % self._nslices
-        hn = self.home_nodes[slice_id]
-        entry = self._dir_entries.get(block)
-        if entry is None:
-            entry = self.directory.entry(block)
-        arrive = now + self._c2s_lat[core][slice_id]
-        ordered = arrive
-        if entry.line_busy_until > ordered:
-            ordered = entry.line_busy_until
-        if hn.busy_until > ordered:
-            ordered = hn.busy_until
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
-        if quiet:
-            self._tmsgs[_READ_REQ] += 1
-            tm.flits += _F_READ_REQ
-            tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        else:
-            self._record(MsgType.READ_REQ, self._c2s_hops[core][slice_id],
-                         enqueue=arrive, dequeue=ordered)
+        slice_id, hn, entry, t_dir = self._home_request(
+            core, block, _READ_REQ, now)
         bd = self._bd
-        if bd is not None:
-            self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
-        hn.busy_until = ordered + self._hn_occ
-        t_dir = ordered + self._dir_lat
         # CHI-faithful flow: snoop responses return to the HN, which then
         # sends Comp.  With ``direct_inval_acks`` the acks instead travel
         # straight to the requestor and Comp is sent at ordering time.
@@ -722,12 +612,7 @@ class Machine:
         entry.line_busy_until = acks_done
         hn.llc_drop(block)
         hn.amo_buffer.invalidate(block)
-        if quiet:
-            self._tmsgs[_COMP_ACK] += 1
-            tm.flits += _F_COMP_ACK
-            tm.flit_hops += _F_COMP_ACK * self._s2c_hops[slice_id][core]
-        else:
-            self._record(MsgType.COMP_ACK, self._s2c_hops[slice_id][core])
+        self._record(_COMP_ACK, self._s2c_hops[slice_id][core])
         if self._direct_acks:
             comp_at_core = t_dir + self._s2c_lat[slice_id][core]
             if bd is not None:
@@ -750,33 +635,10 @@ class Machine:
         Returns the time the block (and permission) is usable at the L1D.
         """
         stats = self.stats
-        record = self._record
         stats.read_unique += 1
-        slice_id = block % self._nslices
-        hn = self.home_nodes[slice_id]
-        entry = self._dir_entries.get(block)
-        if entry is None:
-            entry = self.directory.entry(block)
-        arrive = now + self._c2s_lat[core][slice_id]
-        ordered = arrive
-        if entry.line_busy_until > ordered:
-            ordered = entry.line_busy_until
-        if hn.busy_until > ordered:
-            ordered = hn.busy_until
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
-        if quiet:
-            self._tmsgs[_READ_REQ] += 1
-            tm.flits += _F_READ_REQ
-            tm.flit_hops += _F_READ_REQ * self._c2s_hops[core][slice_id]
-        else:
-            record(MsgType.READ_REQ, self._c2s_hops[core][slice_id],
-                   enqueue=arrive, dequeue=ordered)
+        slice_id, hn, entry, t_dir = self._home_request(
+            core, block, _READ_REQ, now)
         bd = self._bd
-        if bd is not None:
-            self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
-        hn.busy_until = ordered + self._hn_occ
-        t_dir = ordered + self._dir_lat
 
         owner = entry.owner
         had_owner = owner is not None and owner != core
@@ -806,12 +668,7 @@ class Machine:
                 bd["llc"] = bd.get("llc", 0) + self._llc_lat
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
                                   + self._s2c_lat[slice_id][core])
-            if quiet:
-                self._tmsgs[_COMP_DATA] += 1
-                tm.flits += _F_COMP_DATA
-                tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            else:
-                record(MsgType.COMP_DATA, self._s2c_hops[slice_id][core])
+            self._record(_COMP_DATA, self._s2c_hops[slice_id][core])
         else:
             dram_done = self._dram_read(block, t_dir)
             data_at_core = dram_done + self._s2c_lat[slice_id][core]
@@ -819,12 +676,7 @@ class Machine:
                 bd["dram"] = bd.get("dram", 0) + (dram_done - t_dir)
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
                                   + self._s2c_lat[slice_id][core])
-            if quiet:
-                self._tmsgs[_COMP_DATA] += 1
-                tm.flits += _F_COMP_DATA
-                tm.flit_hops += _F_COMP_DATA * self._s2c_hops[slice_id][core]
-            else:
-                record(MsgType.COMP_DATA, self._s2c_hops[slice_id][core])
+            self._record(_COMP_DATA, self._s2c_hops[slice_id][core])
 
         if self.bus.active:
             self._emit_handoff(block, owner, core)
@@ -990,32 +842,9 @@ class Machine:
                  now: int) -> Tuple[int, Optional[int]]:
         """Execute the AMO at the home node (Fig. 2 right)."""
         stats = self.stats
-        record = self._record
-        slice_id = block % self._nslices
-        hn = self.home_nodes[slice_id]
-        entry = self._dir_entries.get(block)
-        if entry is None:
-            entry = self.directory.entry(block)
-        arrive = now + self._c2s_lat[core][slice_id]
-        ordered = arrive
-        if entry.line_busy_until > ordered:
-            ordered = entry.line_busy_until
-        if hn.busy_until > ordered:
-            ordered = hn.busy_until
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
-        if quiet:
-            self._tmsgs[_ATOMIC_REQ] += 1
-            tm.flits += _F_ATOMIC_REQ
-            tm.flit_hops += _F_ATOMIC_REQ * self._c2s_hops[core][slice_id]
-        else:
-            record(MsgType.ATOMIC_REQ, self._c2s_hops[core][slice_id],
-                   enqueue=arrive, dequeue=ordered)
+        slice_id, hn, entry, t_dir = self._home_request(
+            core, block, _ATOMIC_REQ, now)
         bd = self._bd
-        if bd is not None:
-            self._bd_request(bd, now, arrive, ordered, entry.line_busy_until)
-        hn.busy_until = ordered + self._hn_occ
-        t_dir = ordered + self._dir_lat
 
         # Dirty-holder scan without materializing the holder union set.
         owner = entry.owner
@@ -1038,29 +867,21 @@ class Machine:
             data_ready = snoop_done
             if bd is not None:
                 bd["snoop"] = bd.get("snoop", 0) + (snoop_done - t_dir)
-        elif buffer_hit:
-            stats.amo_buffer_hits += 1
-            data_ready = t_dir + self._amo_buf_lat
-            if bd is not None:
-                bd["amo_buf"] = bd.get("amo_buf", 0) + self._amo_buf_lat
-            if snoop_done > data_ready:
-                if bd is not None:
-                    bd["snoop"] = (bd.get("snoop", 0)
-                                   + (snoop_done - data_ready))
-                data_ready = snoop_done
-        elif hn.llc_lookup(block):
-            data_ready = t_dir + self._llc_lat
-            if bd is not None:
-                bd["llc"] = bd.get("llc", 0) + self._llc_lat
-            if snoop_done > data_ready:
-                if bd is not None:
-                    bd["snoop"] = (bd.get("snoop", 0)
-                                   + (snoop_done - data_ready))
-                data_ready = snoop_done
         else:
-            data_ready = self._dram_read(block, t_dir)
-            if bd is not None:
-                bd["dram"] = bd.get("dram", 0) + (data_ready - t_dir)
+            if buffer_hit:
+                stats.amo_buffer_hits += 1
+                data_ready = t_dir + self._amo_buf_lat
+                if bd is not None:
+                    bd["amo_buf"] = bd.get("amo_buf", 0) + self._amo_buf_lat
+            elif hn.llc_lookup(block):
+                data_ready = t_dir + self._llc_lat
+                if bd is not None:
+                    bd["llc"] = bd.get("llc", 0) + self._llc_lat
+            else:
+                data_ready = self._dram_read(block, t_dir)
+                if bd is not None:
+                    bd["dram"] = bd.get("dram", 0) + (data_ready - t_dir)
+            # Clean data still waits for the last invalidation ack.
             if snoop_done > data_ready:
                 if bd is not None:
                     bd["snoop"] = (bd.get("snoop", 0)
@@ -1080,12 +901,7 @@ class Machine:
         resp_hops = self._s2c_hops[slice_id][core]
         if op.type is OpType.AMO_LOAD:
             stats.far_amo_loads += 1
-            if quiet:
-                self._tmsgs[_AMO_DATA] += 1
-                tm.flits += _F_AMO_DATA
-                tm.flit_hops += _F_AMO_DATA * resp_hops
-            else:
-                record(MsgType.AMO_DATA, resp_hops)
+            self._record(_AMO_DATA, resp_hops)
             done = exec_done + self._s2c_lat[slice_id][core]
             stats.amo_latency_sum += done - now
             if bd is not None:
@@ -1094,12 +910,7 @@ class Machine:
                 bd["commit"] = bd.get("commit", 0) + self._commit_stall
             return done + self._commit_stall, old
         stats.far_amo_stores += 1
-        if quiet:
-            self._tmsgs[_COMP_ACK] += 1
-            tm.flits += _F_COMP_ACK
-            tm.flit_hops += _F_COMP_ACK * resp_hops
-        else:
-            record(MsgType.COMP_ACK, resp_hops)
+        self._record(_COMP_ACK, resp_hops)
         ack = snoop_done + self._s2c_lat[slice_id][core]
         stats.amo_latency_sum += ack - now
         if bd is not None:
@@ -1111,6 +922,46 @@ class Machine:
     # shared helpers
     # ------------------------------------------------------------------
 
+    def _home_request(self, core: int, block: int, msg: MsgType,
+                      now: int) -> Tuple[int, HomeNode, DirEntry, int]:
+        """The request leg every home-node transaction opens with.
+
+        Sends ``msg`` from ``core`` to the block's home node, orders it
+        behind the line's previous transaction and the HN's structural
+        occupancy, and charges the HN for it.  Returns ``(slice_id, hn,
+        entry, t_dir)``: ``t_dir`` is when the directory lookup is done.
+        Stamped runs blame the wait on the NoC traversal, then per-line
+        serialization (the paper's central quantity), then structural
+        home-node occupancy, then the directory.
+        """
+        slice_id = block % self._nslices
+        hn = self.home_nodes[slice_id]
+        entry = self._dir_entries.get(block)
+        if entry is None:
+            entry = self.directory.entry(block)
+        arrive = now + self._c2s_lat[core][slice_id]
+        line_busy = entry.line_busy_until
+        ordered = line_busy if line_busy > arrive else arrive
+        if hn.busy_until > ordered:
+            ordered = hn.busy_until
+        self._record(msg, self._c2s_hops[core][slice_id], arrive, ordered)
+        bd = self._bd
+        if bd is not None:
+            bd["noc_req"] = bd.get("noc_req", 0) + (arrive - now)
+            wait = ordered - arrive
+            lw = line_busy - arrive
+            if lw < 0:
+                lw = 0
+            elif lw > wait:
+                lw = wait
+            if lw:
+                bd["hn_line"] = bd.get("hn_line", 0) + lw
+            if wait > lw:
+                bd["hn_busy"] = bd.get("hn_busy", 0) + (wait - lw)
+            bd["dir"] = bd.get("dir", 0) + self._dir_lat
+        hn.busy_until = ordered + self._hn_occ
+        return slice_id, hn, entry, ordered + self._dir_lat
+
     def _snoop_rtt(self, slice_id: int, target: int) -> int:
         """Round-trip cost of snooping ``target`` from ``slice_id``."""
         return 2 * self._s2c_lat[slice_id][target] + self._l1_lat
@@ -1118,25 +969,10 @@ class Machine:
     def _record_snoop_traffic(self, slice_id: int, target: int,
                               with_data: bool, block: int = -1) -> None:
         hops = self._s2c_hops[slice_id][target]
-        tm = self._tmeter
-        bus = self.bus
-        if tm is not None and not bus.active:
-            # Batched snoop + response accounting (flit sums commute, so
-            # combining the two messages is bit-identical).
-            msgs = self._tmsgs
-            msgs[_SNOOP] += 1
-            if with_data:
-                msgs[_SNOOP_DATA] += 1
-                flits = _F_SNOOP + _F_SNOOP_DATA
-            else:
-                msgs[_SNOOP_RESP] += 1
-                flits = _F_SNOOP + _F_SNOOP_RESP
-            tm.flits += flits
-            tm.flit_hops += flits * hops
-            return
         record = self._record
-        record(MsgType.SNOOP, hops)
-        record(MsgType.SNOOP_DATA if with_data else MsgType.SNOOP_RESP, hops)
+        record(_SNOOP, hops)
+        record(_SNOOP_DATA if with_data else _SNOOP_RESP, hops)
+        bus = self.bus
         if bus.active:
             bus.emit(Event(EventKind.SNOOP, bus.now, target, block,
                            info={"slice": slice_id, "with_data": with_data}))
@@ -1241,25 +1077,13 @@ class Machine:
         slice_id = block % self._nslices
         hn = self.home_nodes[slice_id]
         hops = self._c2s_hops[core][slice_id]
-        tm = self._tmeter
-        quiet = tm is not None and not self.bus.active
         if line.state is CacheState.SC:
             # LLC already has a copy from the shared grant; just tell the
             # directory.
-            if quiet:
-                self._tmsgs[_EVICT_NOTIFY] += 1
-                tm.flits += _F_EVICT_NOTIFY
-                tm.flit_hops += _F_EVICT_NOTIFY * hops
-            else:
-                self._record(MsgType.EVICT_NOTIFY, hops)
+            self._record(_EVICT_NOTIFY, hops)
             return
         # UC/UD/SD carry data back; the exclusive LLC allocates it.
-        if quiet:
-            self._tmsgs[_WRITEBACK] += 1
-            tm.flits += _F_WRITEBACK
-            tm.flit_hops += _F_WRITEBACK * hops
-        else:
-            self._record(MsgType.WRITEBACK, hops)
+        self._record(_WRITEBACK, hops)
         self._llc_fill(hn, block)
 
     def _llc_fill(self, hn: HomeNode, block: int) -> None:
@@ -1269,44 +1093,28 @@ class Machine:
             chan = self.addr_map.channel_of_block(victim.block)
             self.memory.access(chan, 0)
             self.stats.dram_writes += 1
-            tm = self._tmeter
-            if tm is not None and not self.bus.active:
-                self._tmsgs[_MEM_WRITE] += 1
-                tm.flits += _F_MEM_WRITE
-                tm.flit_hops += _F_MEM_WRITE
-            else:
-                self._record(MsgType.MEM_WRITE, 1)
-            if self.bus.active:
-                self.bus.emit(Event(EventKind.DRAM_WRITE, self.bus.now,
-                                    block=victim.block,
-                                    info={"channel": chan}))
+            self._record(_MEM_WRITE, 1)
+            bus = self.bus
+            if bus.active:
+                bus.emit(Event(EventKind.DRAM_WRITE, bus.now,
+                               block=victim.block, info={"channel": chan}))
 
     def _dram_read(self, block: int, issue_time: int) -> int:
         chan = self.addr_map.channel_of_block(block)
         done = self.memory.access(chan, issue_time)
         self.stats.dram_reads += 1
-        tm = self._tmeter
-        if tm is not None and not self.bus.active:
-            msgs = self._tmsgs
-            msgs[_MEM_READ] += 1
-            msgs[_MEM_DATA] += 1
-            flits = _F_MEM_READ + _F_MEM_DATA
-            tm.flits += flits
-            tm.flit_hops += flits
-        else:
-            self._record(MsgType.MEM_READ, 1)
-            self._record(MsgType.MEM_DATA, 1)
-            if self.bus.active:
-                self.bus.emit(Event(EventKind.DRAM_READ, issue_time,
-                                    block=block, info={"channel": chan}))
+        self._record(_MEM_READ, 1)
+        self._record(_MEM_DATA, 1)
+        if self.bus.active:
+            self.bus.emit(Event(EventKind.DRAM_READ, issue_time,
+                                block=block, info={"channel": chan}))
         return done
 
     # --- event emission helpers (only called when the bus is active) --
 
     def _emit_downgrade(self, owner: int, block: int) -> None:
         bus = self.bus
-        if bus.active:
-            bus.emit(Event(EventKind.DOWNGRADE, bus.now, owner, block))
+        bus.emit(Event(EventKind.DOWNGRADE, bus.now, owner, block))
 
     def _emit_handoff(self, block: int, prev_owner: Optional[int],
                       new_owner: Optional[int]) -> None:

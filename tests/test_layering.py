@@ -74,3 +74,51 @@ def test_walk_sees_every_import_form():
             source
     assert not any(_is_upper(m) for m in _imported_modules(
         "from . import events\nfrom ..coherence import l1", sim))
+
+
+# --- traffic accounting has one gateway --------------------------------
+
+TRAFFIC_COUNTERS = ("flits", "flit_hops")
+
+
+def _traffic_increments(source):
+    """Line numbers of every ``+=`` on a traffic counter in ``source``.
+
+    A counter is a ``.flits`` or ``.flit_hops`` attribute or an item of
+    a ``.messages`` mapping.  Plain assignment (deserialization) is not
+    an increment.
+    """
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.AugAssign):
+            continue
+        target = node.target
+        if isinstance(target, ast.Subscript):
+            target = target.value
+            counter = isinstance(target, ast.Attribute) and \
+                target.attr == "messages"
+        else:
+            counter = isinstance(target, ast.Attribute) and \
+                target.attr in TRAFFIC_COUNTERS
+        if counter:
+            yield node.lineno
+
+
+def test_only_the_noc_layer_increments_traffic_counters():
+    """Every protocol message is accounted through ``Mesh.record``."""
+    offenders = [f"{path.relative_to(SRC)}:{line}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 if path.relative_to(SRC).parts[0] != "noc"
+                 for line in _traffic_increments(path.read_text())]
+    assert offenders == []
+
+
+def test_traffic_walk_sees_every_counter_form():
+    # Not vacuous: the gateway's own increments are found.
+    assert list(_traffic_increments((SRC / "noc" / "mesh.py").read_text()))
+    for source in ("tm.flits += 2", "meter.flit_hops += f * h",
+                   "self._traffic.messages[msg] += 1"):
+        assert list(_traffic_increments(source)) == [1], source
+    for source in ("traffic.flits = data['flits']",
+                   "traffic.messages[t] = n", "stats.reads += 1",
+                   "counts[msg] += 1"):
+        assert list(_traffic_increments(source)) == [], source
