@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.coherence.cache import CacheLine, SetAssocCache
-from repro.coherence.states import CacheState
+from repro.coherence.states import I
 from repro.sim.events import Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -128,7 +128,7 @@ class HomeNode:
 
     def llc_fill(self, block: int) -> Optional[CacheLine]:
         """Allocate ``block`` in this slice; returns the evicted victim."""
-        return self.llc.insert(CacheLine(block, CacheState.I))
+        return self.llc.insert(CacheLine(block, I))
 
     def llc_fill_if_room(self, block: int) -> bool:
         """Allocate ``block`` only when no eviction is needed.
@@ -139,7 +139,7 @@ class HomeNode:
         """
         if self.llc.lru_victim(block) is not None:
             return False
-        self.llc.insert(CacheLine(block, CacheState.I))
+        self.llc.insert(CacheLine(block, I))
         return True
 
     def llc_drop(self, block: int) -> None:

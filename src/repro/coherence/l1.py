@@ -19,11 +19,11 @@ This module is purely structural — all timing lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.coherence.cache import CacheLine, SetAssocCache
-from repro.coherence.states import CacheState
+from repro.coherence.states import I, CacheState
 from repro.sim.events import Event, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -38,19 +38,6 @@ class Departure:
     line: CacheLine
     #: True when the block also left the L2 (directory must be updated).
     left_hierarchy: bool
-
-
-@dataclass(slots=True)
-class InsertResult:
-    """Outcome of allocating a block into the L1D."""
-
-    departures: List[Departure] = field(default_factory=list)
-
-
-#: Shared result for the no-victim path of :meth:`insert_l1` — by far the
-#: most common outcome.  Its departures are an (immutable) empty tuple so
-#: an accidental append fails loudly instead of corrupting every caller.
-_NO_DEPARTURES = InsertResult(departures=())  # type: ignore[arg-type]
 
 
 class PrivateCacheHierarchy:
@@ -88,7 +75,7 @@ class PrivateCacheHierarchy:
         may merely have been evicted to the L2.
         """
         line = self._l1_sets[block % self._l1_nsets].get(block)
-        return line.state if line is not None else CacheState.I
+        return line.state if line is not None else I
 
     def find(self, block: int) -> Tuple[Optional[CacheLine], Optional[int]]:
         """Locate ``block``; returns (line, level) with level 1, 2 or None."""
@@ -116,12 +103,14 @@ class PrivateCacheHierarchy:
     # --- allocation and movement ---
 
     def insert_l1(self, block: int, state: CacheState,
-                  fetched_by_amo: bool = False) -> InsertResult:
+                  fetched_by_amo: bool = False) -> Tuple[Departure, ...]:
         """Allocate ``block`` into the L1D, spilling victims to the L2.
 
         Returns the departures triggered by the allocation: the L1 victim
         (if any) always departs the L1; if spilling it into the L2 evicts
-        an L2 victim, that block departs the hierarchy.
+        an L2 victim, that block departs the hierarchy.  The common
+        no-victim fill returns the empty tuple and allocates nothing but
+        the new line.
         """
         new_line = CacheLine(block, state, fetched_by_amo)
         # The block may be in L2 (promotion): remove the stale copy first.
@@ -136,24 +125,24 @@ class PrivateCacheHierarchy:
             l1_victim = l1_set.pop(next(iter(l1_set)))
         l1_set[block] = new_line
         if l1_victim is None:
-            return _NO_DEPARTURES
-        result = InsertResult()
+            return ()
         l2_victim = self.l2.insert(l1_victim)
-        result.departures.append(Departure(l1_victim, left_hierarchy=False))
+        departures: Tuple[Departure, ...] = (Departure(l1_victim, False),)
         if l2_victim is not None:
-            result.departures.append(Departure(l2_victim, left_hierarchy=True))
+            departures += (Departure(l2_victim, True),)
         bus = self.bus
         if bus is not None and bus.active:
-            for dep in result.departures:
+            for dep in departures:
                 bus.emit(Event(
                     EventKind.L1_EVICTION, bus.now, self.core_id,
                     dep.line.block,
                     info={"left_hierarchy": dep.left_hierarchy,
                           "fetched_by_amo": dep.line.fetched_by_amo,
                           "reused": dep.line.reused}))
-        return result
+        return departures
 
-    def promote(self, block: int, fetched_by_amo: bool = False) -> InsertResult:
+    def promote(self, block: int,
+                fetched_by_amo: bool = False) -> Tuple[Departure, ...]:
         """Move an L2-resident block into the L1D (L2 hit path).
 
         The promoted residency starts a fresh reuse epoch; pass

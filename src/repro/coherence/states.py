@@ -50,19 +50,26 @@ class CacheState(enum.IntEnum):
     is_dirty: bool
 
 
+#: The members as module constants, for code that runs per simulated
+#: operation: a member load on the Enum class goes through
+#: ``EnumType.__getattr__``, several times the cost of a global load
+#: (DESIGN.md §9).
+UC, UD, SC, SD, I = (CacheState.UC, CacheState.UD, CacheState.SC,
+                     CacheState.SD, CacheState.I)
+
 _CHI_NAMES = {
-    CacheState.UC: "UniqueClean",
-    CacheState.UD: "UniqueDirty",
-    CacheState.SC: "SharedClean",
-    CacheState.SD: "SharedDirty",
-    CacheState.I: "Invalid",
+    UC: "UniqueClean",
+    UD: "UniqueDirty",
+    SC: "SharedClean",
+    SD: "SharedDirty",
+    I: "Invalid",
 }
 for _state in CacheState:
     _state.chi_name = _CHI_NAMES[_state]
-    _state.is_unique = _state in (CacheState.UC, CacheState.UD)
-    _state.is_shared = _state in (CacheState.SC, CacheState.SD)
-    _state.is_valid = _state is not CacheState.I
-    _state.is_dirty = _state in (CacheState.UD, CacheState.SD)
+    _state.is_unique = _state in (UC, UD)
+    _state.is_shared = _state in (SC, SD)
+    _state.is_valid = _state is not I
+    _state.is_dirty = _state in (UD, SD)
 del _state
 
 
@@ -70,4 +77,4 @@ del _state
 #: is already Unique in the L1D, issuing a far AMO is a pathological case
 #: (the HN would have to snoop the requestor itself, Section II-B), so every
 #: policy and both predictors execute those AMOs near unconditionally.
-DECIDABLE_STATES = (CacheState.I, CacheState.SC, CacheState.SD)
+DECIDABLE_STATES = (I, SC, SD)

@@ -21,7 +21,7 @@ from typing import Any, Tuple
 
 from repro.coherence.states import CacheState
 from repro.core.amt import AmoMetadataTable
-from repro.core.policy import AmoPolicy, AuditInfo, Placement
+from repro.core.policy import FAR, NEAR, AmoPolicy, AuditInfo, Placement
 
 
 class MetricEntry:
@@ -97,10 +97,10 @@ class DynamoMetricPolicy(AmoPolicy):
         entry = self.amt.lookup(block)
         if entry is None:
             self.amt.allocate(block, MetricEntry())
-            return Placement.NEAR
+            return NEAR
         if entry.near_count > self.threshold * entry.inval_count:
-            return Placement.NEAR
-        return Placement.FAR
+            return NEAR
+        return FAR
 
     def on_near_amo(self, block: int, now: int) -> None:
         entry = self.amt.peek(block)

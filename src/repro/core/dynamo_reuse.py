@@ -35,7 +35,7 @@ from typing import Any
 
 from repro.coherence.states import CacheState
 from repro.core.amt import AmoMetadataTable
-from repro.core.policy import AmoPolicy, AuditInfo, Placement
+from repro.core.policy import FAR, NEAR, AmoPolicy, AuditInfo, Placement
 
 
 class ReuseEntry:
@@ -87,17 +87,17 @@ class DynamoReusePolicy(AmoPolicy):
 
     def _fallback(self, state: CacheState) -> Placement:
         if not self.fallback_present_near:
-            return Placement.FAR  # Unique Near: far for I, SC, SD
+            return FAR  # Unique Near: far for I, SC, SD
         # Present Near: near while the block is still present.
-        return Placement.NEAR if state.is_valid else Placement.FAR
+        return NEAR if state.is_valid else FAR
 
     def _first_touch(self, state: CacheState) -> Placement:
         if self.global_fetched < 16:
             # Too little history; near is the best suite-wide default.
-            return Placement.NEAR
+            return NEAR
         ratio = self.global_reused / self.global_fetched
         if ratio >= self.global_threshold:
-            return Placement.NEAR
+            return NEAR
         return self._fallback(state)
 
     def audit_info(self, block: int) -> AuditInfo:
@@ -129,11 +129,11 @@ class DynamoReusePolicy(AmoPolicy):
             # revisited within the AMT window would need counter_max bad
             # residencies per block before the predictor adapts.
             confidence = (self.counter_max
-                          if placement is Placement.NEAR else 0)
+                          if placement is NEAR else 0)
             self.amt.allocate(block, ReuseEntry(confidence))
             return placement
         if entry.confidence > 0:
-            return Placement.NEAR
+            return NEAR
         return self._fallback(state)
 
     # --- learning ---

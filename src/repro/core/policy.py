@@ -44,6 +44,11 @@ class Placement(enum.Enum):
     FAR = "far"
 
 
+#: The members as module constants for the per-operation code (see
+#: :mod:`repro.coherence.states`).
+NEAR, FAR = Placement.NEAR, Placement.FAR
+
+
 class AmoPolicy(ABC):
     """Decides AMO placement for one core's L1D; may learn from events."""
 
@@ -118,7 +123,7 @@ class PolicyStats:
         self.far_decisions = 0
 
     def record(self, placement: Placement) -> None:
-        if placement is Placement.NEAR:
+        if placement is NEAR:
             self.near_decisions += 1
         else:
             self.far_decisions += 1

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from repro.coherence.states import CacheState
+from repro.coherence.states import I, SC, SD, UC, UD, CacheState
+from repro.core.policy import FAR as _F
+from repro.core.policy import NEAR as _N
 from repro.core.policy import AmoPolicy, Placement
-
-_N = Placement.NEAR
-_F = Placement.FAR
 
 
 class StaticPolicy(AmoPolicy):
@@ -38,7 +37,7 @@ class StaticPolicy(AmoPolicy):
         missing = [s for s in CacheState if s not in table]
         if missing:
             raise ValueError(f"policy {name!r} missing states: {missing}")
-        if table[CacheState.UC] is _F or table[CacheState.UD] is _F:
+        if table[UC] is _F or table[UD] is _F:
             raise ValueError(
                 f"policy {name!r} issues far AMOs on Unique blocks, the "
                 "pathological case every implementation avoids")
@@ -53,13 +52,7 @@ class StaticPolicy(AmoPolicy):
 
 def _table(uc: Placement, ud: Placement, sc: Placement, sd: Placement,
            i: Placement) -> Dict[CacheState, Placement]:
-    return {
-        CacheState.UC: uc,
-        CacheState.UD: ud,
-        CacheState.SC: sc,
-        CacheState.SD: sd,
-        CacheState.I: i,
-    }
+    return {UC: uc, UD: ud, SC: sc, SD: sd, I: i}
 
 
 def all_near() -> StaticPolicy:
@@ -116,8 +109,7 @@ def table_i_rows() -> Tuple[Tuple[str, str, Dict[str, str]], ...]:
         policy = ctor()
         decisions = {
             state.name: ("N" if policy.table[state] is _N else "F")
-            for state in (CacheState.UC, CacheState.UD, CacheState.SC,
-                          CacheState.SD, CacheState.I)
+            for state in (UC, UD, SC, SD, I)
         }
         rows.append((name, "Existing" if policy.existing else "Proposed",
                      decisions))

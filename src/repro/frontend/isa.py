@@ -69,6 +69,16 @@ class OpType(enum.IntEnum):
     MARK = 5
 
 
+#: Members named by code that runs per simulated operation, as module
+#: constants (a member load on the Enum class costs several global
+#: loads; DESIGN.md §9).
+READ, WRITE, AMO_LOAD, AMO_STORE, THINK, MARK = (
+    OpType.READ, OpType.WRITE, OpType.AMO_LOAD, OpType.AMO_STORE,
+    OpType.THINK, OpType.MARK)
+ADD, MIN, MAX, SWAP, CAS = (AmoKind.ADD, AmoKind.MIN, AmoKind.MAX,
+                            AmoKind.SWAP, AmoKind.CAS)
+
+
 @dataclass(slots=True)
 class MemOp:
     """A single dynamic operation issued by a program.
@@ -95,7 +105,7 @@ class MemOp:
 
     @property
     def is_amo(self) -> bool:
-        return self.type in (OpType.AMO_LOAD, OpType.AMO_STORE)
+        return self.type in (AMO_LOAD, AMO_STORE)
 
     @property
     def block(self) -> int:
@@ -138,13 +148,13 @@ def read(addr: int) -> MemOp:
     """Plain load from ``addr``."""
     op = _READ_CACHE.get(addr)
     if op is None:
-        op = _READ_CACHE[addr] = MemOp(OpType.READ, addr)
+        op = _READ_CACHE[addr] = MemOp(READ, addr)
     return op
 
 
 def write(addr: int, value: int = 0) -> MemOp:
     """Plain store of ``value`` to ``addr``."""
-    return MemOp(OpType.WRITE, addr, value=value)
+    return MemOp(WRITE, addr, value)
 
 
 def think(cycles: int, instructions: Optional[int] = None) -> MemOp:
@@ -157,9 +167,9 @@ def think(cycles: int, instructions: Optional[int] = None) -> MemOp:
         op = _THINK_CACHE.get(cycles)
         if op is None:
             op = _THINK_CACHE[cycles] = MemOp(
-                OpType.THINK, cycles=cycles, instructions=max(1, cycles))
+                THINK, cycles=cycles, instructions=max(1, cycles))
         return op
-    return MemOp(OpType.THINK, cycles=cycles, instructions=instructions)
+    return MemOp(THINK, 0, 0, None, 0, cycles, instructions)
 
 
 def mark(code: int, addr: int) -> MemOp:
@@ -172,7 +182,7 @@ def mark(code: int, addr: int) -> MemOp:
     key = (code, addr)
     op = _MARK_CACHE.get(key)
     if op is None:
-        op = _MARK_CACHE[key] = MemOp(OpType.MARK, addr, value=code,
+        op = _MARK_CACHE[key] = MemOp(MARK, addr, value=code,
                                       instructions=0)
     return op
 
@@ -182,8 +192,7 @@ def ldadd(addr: int, value: int) -> MemOp:
     key = (addr, value)
     op = _LDADD_CACHE.get(key)
     if op is None:
-        op = _LDADD_CACHE[key] = MemOp(OpType.AMO_LOAD, addr, value=value,
-                                       amo=AmoKind.ADD)
+        op = _LDADD_CACHE[key] = MemOp(AMO_LOAD, addr, value, ADD)
     return op
 
 
@@ -192,29 +201,28 @@ def stadd(addr: int, value: int) -> MemOp:
     key = (addr, value)
     op = _STADD_CACHE.get(key)
     if op is None:
-        op = _STADD_CACHE[key] = MemOp(OpType.AMO_STORE, addr, value=value,
-                                       amo=AmoKind.ADD)
+        op = _STADD_CACHE[key] = MemOp(AMO_STORE, addr, value, ADD)
     return op
 
 
 def ldmin(addr: int, value: int) -> MemOp:
     """Atomic fetch-and-min returning the old value."""
-    return MemOp(OpType.AMO_LOAD, addr, value=value, amo=AmoKind.MIN)
+    return MemOp(AMO_LOAD, addr, value, MIN)
 
 
 def stmin(addr: int, value: int) -> MemOp:
     """Atomic min with no return value."""
-    return MemOp(OpType.AMO_STORE, addr, value=value, amo=AmoKind.MIN)
+    return MemOp(AMO_STORE, addr, value, MIN)
 
 
 def ldmax(addr: int, value: int) -> MemOp:
     """Atomic fetch-and-max returning the old value."""
-    return MemOp(OpType.AMO_LOAD, addr, value=value, amo=AmoKind.MAX)
+    return MemOp(AMO_LOAD, addr, value, MAX)
 
 
 def swap(addr: int, value: int) -> MemOp:
     """Atomic swap returning the old value."""
-    return MemOp(OpType.AMO_LOAD, addr, value=value, amo=AmoKind.SWAP)
+    return MemOp(AMO_LOAD, addr, value, SWAP)
 
 
 def stswp(addr: int, value: int) -> MemOp:
@@ -224,7 +232,7 @@ def stswp(addr: int, value: int) -> MemOp:
     needed — e.g. a lock release — a store-type swap commits early and
     keeps far execution off the critical path.
     """
-    return MemOp(OpType.AMO_STORE, addr, value=value, amo=AmoKind.SWAP)
+    return MemOp(AMO_STORE, addr, value, SWAP)
 
 
 def cas(addr: int, expected: int, new: int) -> MemOp:
@@ -232,7 +240,7 @@ def cas(addr: int, expected: int, new: int) -> MemOp:
 
     The CAS succeeded iff the returned old value equals ``expected``.
     """
-    return MemOp(OpType.AMO_LOAD, addr, value=new, amo=AmoKind.CAS, expected=expected)
+    return MemOp(AMO_LOAD, addr, new, CAS, expected)
 
 
 #: Dispatch table for :func:`apply_amo`, indexed by the AmoKind int code.

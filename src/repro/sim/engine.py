@@ -21,7 +21,7 @@ import heapq
 import sys
 from typing import Iterable, Optional
 
-from repro.frontend.isa import OpType
+from repro.frontend.isa import AMO_LOAD, AMO_STORE, MARK, READ, THINK, WRITE
 from repro.frontend.program import Program
 from repro.sim.machine import DeferredRead, Machine
 from repro.sim.results import SimulationResult
@@ -57,17 +57,12 @@ def run(machine: Machine, programs: Iterable[Program],
     pending = [None] * len(progs)
 
     # Hot-loop bindings: the heap loop below runs once per simulated
-    # operation, so method and global lookups are hoisted to locals and
-    # the op-type test uses enum identity instead of the is_amo property.
+    # operation, so method lookups are hoisted to locals and the op-type
+    # test uses enum identity instead of the is_amo property.
     execute = machine.execute
     values = machine.values
     heappop = heapq.heappop
     heapreplace = heapq.heapreplace
-    amo_load = OpType.AMO_LOAD
-    amo_store = OpType.AMO_STORE
-    think = OpType.THINK
-    read_t = OpType.READ
-    write_t = OpType.WRITE
     # Direct handler bindings: the loop performs Machine.execute's
     # dispatch itself (including the bus timestamp it starts with),
     # saving one call frame per simulated operation.  Unknown op types
@@ -76,7 +71,8 @@ def run(machine: Machine, programs: Iterable[Program],
     amo_h = machine._amo
     write_h = machine._write
     bus = machine.bus
-    if bus.stamps:
+    stamps = bus.stamps
+    if stamps:
         # Attribution sinks subscribed: wrap the handlers bound above
         # (read from the instance, so per-instance patches still apply).
         # The wrappers keep the handlers' timing but also collect per-op
@@ -98,7 +94,7 @@ def run(machine: Machine, programs: Iterable[Program],
         done, result = execute(core, op, 0)
         instructions[core] += op.instructions
         kind = op.type
-        if kind is amo_load or kind is amo_store:
+        if kind is AMO_LOAD or kind is AMO_STORE:
             amos[core] += 1
         pending[core] = result
         heap.append((done, core))
@@ -124,25 +120,33 @@ def run(machine: Machine, programs: Iterable[Program],
             heappop(heap)
             continue
         kind = op.type
-        if kind is think:
+        if kind is THINK:
             # THINK touches no machine state and emits no events: the
             # completion time is computable right here, saving the
             # dispatch round-trip for the most common op class.
             done = now + op.cycles
             pending[core] = None
-        elif kind is read_t:
+        elif kind is READ:
             bus.now = now
             done, next_result = read_h(core, op, now)
             pending[core] = next_result
-        elif kind is amo_load or kind is amo_store:
+        elif kind is AMO_LOAD or kind is AMO_STORE:
             bus.now = now
             done, next_result = amo_h(core, op, now)
             amos[core] += 1
             pending[core] = next_result
-        elif kind is write_t:
+        elif kind is WRITE:
             bus.now = now
             done, next_result = write_h(core, op, now)
             pending[core] = next_result
+        elif kind is MARK and not stamps:
+            # A MARK takes zero cycles and touches no machine state, so
+            # the core keeps its heap key (now, core), still the heap
+            # minimum, and resumes at once.  Stamped runs take the else
+            # branch: execute emits the MARK's SYNC event.
+            instructions[core] += op.instructions
+            pending[core] = None
+            continue
         else:
             done, next_result = execute(core, op, now)
             pending[core] = next_result

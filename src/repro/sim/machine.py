@@ -17,9 +17,12 @@ Commit semantics (paper Section III-B1):
 
 Hot-path style (DESIGN.md §9): the transaction handlers run millions of
 times per simulation, so config scalars and the mesh's dense distance
-tables are bound to instance attributes once at construction, ``max()``
-chains over two or three ints are flattened to compares, and the
-directory holder sets are walked without building union sets.  Every
+tables are bound to instance attributes once at construction, enum
+members are named through the module constants defined next to each
+enum, each transaction looks a block up once and then works on the line
+it holds, ``max()`` chains over two or three ints are flattened to
+compares, and the directory holder sets are walked without building
+union sets.  Every
 transformation here is behaviour-preserving by definition of the golden
 corpus (``repro golden``).
 
@@ -37,36 +40,24 @@ from collections import deque
 from typing import (Callable, Deque, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
+from repro.coherence.cache import CacheLine
 from repro.coherence.directory import DirEntry, DirectoryState, HomeNode
 from repro.coherence.l1 import Departure, PrivateCacheHierarchy
-from repro.coherence.states import CacheState
-from repro.core.policy import AmoPolicy, Placement, PolicyStats
+from repro.coherence.states import SC, SD, UC, UD, I
+from repro.core.policy import NEAR, AmoPolicy, PolicyStats
 from repro.core.registry import make_policy
-from repro.frontend.isa import (MARK_NAMES, AmoKind, MemOp, OpType,
+from repro.frontend.isa import (ADD, AMO_LOAD, AMO_STORE, CAS, MARK,
+                                MARK_NAMES, READ, THINK, WRITE, MemOp,
                                 apply_amo)
 from repro.mem.address import AddressMap
 from repro.mem.hbm import HbmMemory
 from repro.noc.mesh import Mesh
-from repro.noc.message import MsgType
+from repro.noc.message import (AMO_DATA, ATOMIC_REQ, COMP_ACK, COMP_DATA,
+                               EVICT_NOTIFY, MEM_DATA, MEM_READ, MEM_WRITE,
+                               READ_REQ, SNOOP, SNOOP_DATA, SNOOP_RESP,
+                               WRITEBACK, MsgType)
 from repro.sim.config import SystemConfig
 from repro.sim.events import Event, EventBus, EventKind
-
-# Message classes bound as module constants: an attribute load on an
-# Enum class goes through EnumType.__getattr__, several times the cost
-# of a global load, and the handlers name one per message they send.
-_AMO_DATA = MsgType.AMO_DATA
-_ATOMIC_REQ = MsgType.ATOMIC_REQ
-_COMP_ACK = MsgType.COMP_ACK
-_COMP_DATA = MsgType.COMP_DATA
-_EVICT_NOTIFY = MsgType.EVICT_NOTIFY
-_MEM_DATA = MsgType.MEM_DATA
-_MEM_READ = MsgType.MEM_READ
-_MEM_WRITE = MsgType.MEM_WRITE
-_READ_REQ = MsgType.READ_REQ
-_SNOOP = MsgType.SNOOP
-_SNOOP_DATA = MsgType.SNOOP_DATA
-_SNOOP_RESP = MsgType.SNOOP_RESP
-_WRITEBACK = MsgType.WRITEBACK
 
 
 class DeferredRead:
@@ -255,15 +246,15 @@ class Machine:
         bus = self.bus
         bus.now = now
         kind = op.type
-        if kind is OpType.READ:
+        if kind is READ:
             handler = self._read
-        elif kind is OpType.AMO_LOAD or kind is OpType.AMO_STORE:
+        elif kind is AMO_LOAD or kind is AMO_STORE:
             handler = self._amo
-        elif kind is OpType.WRITE:
+        elif kind is WRITE:
             handler = self._write
-        elif kind is OpType.THINK:
+        elif kind is THINK:
             return now + op.cycles, None
-        elif kind is OpType.MARK:
+        elif kind is MARK:
             # Sync phase marker: zero cycles, zero instructions, no
             # machine state; only stamped runs see it, as a SYNC event.
             if bus.stamps:
@@ -304,7 +295,7 @@ class Machine:
             if op.is_amo:
                 info["amo"] = op.amo.name
             info["lat"] = lat
-            if kind is OpType.READ or kind is OpType.AMO_LOAD:
+            if kind is READ or kind is AMO_LOAD:
                 if not bd:
                     # L1/L2 hit fast paths record nothing; classify by
                     # latency.
@@ -442,8 +433,9 @@ class Machine:
         stats.l1_misses += 1
         if block in self._l2sets[core][block % self._l2n]:
             stats.l2_hits += 1
-            result = self.privates[core].promote(block)
-            self._handle_departures(core, result.departures, now)
+            departures = self.privates[core].promote(block)
+            if departures:
+                self._handle_departures(core, departures, now)
             return now + self._l2_lat, deferred
         done = self._read_shared(core, block, now)
         return done, deferred
@@ -456,7 +448,7 @@ class Machine:
         stats = self.stats
         stats.read_shared += 1
         slice_id, hn, entry, t_dir = self._home_request(
-            core, block, _READ_REQ, now)
+            core, block, READ_REQ, now)
         bd = self._bd
 
         owner = entry.owner
@@ -478,21 +470,20 @@ class Machine:
                 data_ready = t_dir + self._llc_lat
                 data_from_owner = False
                 hops = self._s2c_hops[slice_id][owner]
-                self._record(_SNOOP, hops)
-                self._record(_SNOOP_RESP, hops)
+                self._record(SNOOP, hops)
+                self._record(SNOOP_RESP, hops)
             else:
-                self._record_snoop_traffic(slice_id, owner, with_data=True,
-                                           block=block)
+                self._record_snoop_traffic(slice_id, owner, True, block)
                 dirty = owner_line.state.is_dirty
                 if dirty and not hn.llc_fill_if_room(block):
                     # LLC set full: owner keeps data responsibility in SD —
                     # the (rare) source of the SharedDirty state.
-                    owner_priv.set_state(block, CacheState.SD)
+                    owner_line.state = SD
                 else:
                     # The HN takes the dirty copy (the common CHI choice)
                     # or a clean one from a UC owner; the owner keeps a
                     # clean shared copy.
-                    owner_priv.set_state(block, CacheState.SC)
+                    owner_line.state = SC
                     entry.owner = None
                     entry.sharers.add(owner)
                     if not dirty:
@@ -525,7 +516,7 @@ class Machine:
             entry.line_busy_until = data_ready
             resp_lat = self._s2c_lat[slice_id][core]
             resp_hops = self._s2c_hops[slice_id][core]
-        self._record(_COMP_DATA, resp_hops)
+        self._record(COMP_DATA, resp_hops)
         done = data_ready + resp_lat + self._l1_lat
         if bd is not None:
             bd["noc_resp"] = bd.get("noc_resp", 0) + resp_lat
@@ -536,18 +527,19 @@ class Machine:
         sharers = entry.sharers
         if (owner_now is not None and owner_now != core) or \
                 (sharers and (len(sharers) > 1 or core not in sharers)):
-            grant = CacheState.SC
+            grant = SC
             sharers.add(core)
         else:
-            grant = CacheState.UC
+            grant = UC
             entry.owner = core
             sharers.discard(core)
             hn.llc_drop(block)
             hn.amo_buffer.invalidate(block)
             if self.bus.active:
                 self._emit_handoff(block, owner, core)
-        insert = self.privates[core].insert_l1(block, grant)
-        self._handle_departures(core, insert.departures, now)
+        departures = self.privates[core].insert_l1(block, grant)
+        if departures:
+            self._handle_departures(core, departures, now)
         return done
 
     # ------------------------------------------------------------------
@@ -558,35 +550,35 @@ class Machine:
         stats = self.stats
         stats.writes += 1
         block = op.addr >> 6
-        priv = self.privates[core]
-        line = priv.touch_l1(block)
+        # Inlined touch_l1, as in _read.
+        l1_set = self._l1sets[core][block % self._l1n]
+        line = l1_set.get(block)
         if line is not None:
+            del l1_set[block]
+            l1_set[block] = line
+            if line.fetched_by_amo:
+                line.reused = True
             stats.l1_hits += 1
             if line.state.is_unique:
-                line.state = CacheState.UD
                 drain = now + self._l1_lat
             else:
                 drain = self._upgrade(core, block, now)
-                line = priv.touch_l1(block)
-                if line is not None:
-                    line.state = CacheState.UD
+            line.state = UD
         else:
             stats.l1_misses += 1
-            found, level = priv.find(block)
-            if found is not None and level == 2:
+            l2_line = self._l2sets[core][block % self._l2n].get(block)
+            if l2_line is not None:
                 stats.l2_hits += 1
-                result = priv.promote(block)
-                self._handle_departures(core, result.departures, now)
-                if found.state.is_unique:
-                    priv.set_state(block, CacheState.UD)
+                departures = self.privates[core].promote(block)
+                if departures:
+                    self._handle_departures(core, departures, now)
+                if l2_line.state.is_unique:
                     drain = now + self._l2_lat
                 else:
                     drain = self._upgrade(core, block, now + self._l2_lat)
-                    priv.set_state(block, CacheState.UD)
+                l1_set[block].state = UD
             else:
-                drain = self._read_unique(core, block, now,
-                                          fetched_by_amo=False)
-                priv.set_state(block, CacheState.UD)
+                drain = self._read_unique(core, block, now, False)
         self.values[op.addr] = op.value
         visible = self._store_issue(core, now, drain)
         return visible, None
@@ -596,15 +588,14 @@ class Machine:
         shared; invalidates all other copies, transfers no data."""
         self.stats.upgrades += 1
         slice_id, hn, entry, t_dir = self._home_request(
-            core, block, _READ_REQ, now)
+            core, block, READ_REQ, now)
         bd = self._bd
         # CHI-faithful flow: snoop responses return to the HN, which then
         # sends Comp.  With ``direct_inval_acks`` the acks instead travel
         # straight to the requestor and Comp is sent at ordering time.
         prev_owner = entry.owner
-        acks_done = self._invalidate_holders(slice_id, block, entry,
-                                             exclude=core, now=now,
-                                             t_dir=t_dir, ack_to=core)
+        acks_done = self._invalidate_holders(slice_id, block, entry, core,
+                                             now, t_dir, core)
         if self.bus.active:
             self._emit_handoff(block, prev_owner, core)
         entry.owner = core
@@ -612,7 +603,7 @@ class Machine:
         entry.line_busy_until = acks_done
         hn.llc_drop(block)
         hn.amo_buffer.invalidate(block)
-        self._record(_COMP_ACK, self._s2c_hops[slice_id][core])
+        self._record(COMP_ACK, self._s2c_hops[slice_id][core])
         if self._direct_acks:
             comp_at_core = t_dir + self._s2c_lat[slice_id][core]
             if bd is not None:
@@ -633,22 +624,22 @@ class Machine:
         """ReadUnique: fetch the block with write permission (Fig. 2 left).
 
         Returns the time the block (and permission) is usable at the L1D.
+        Both callers write the block at once, so it is installed
+        UniqueDirty.
         """
         stats = self.stats
         stats.read_unique += 1
         slice_id, hn, entry, t_dir = self._home_request(
-            core, block, _READ_REQ, now)
+            core, block, READ_REQ, now)
         bd = self._bd
 
         owner = entry.owner
         had_owner = owner is not None and owner != core
-        dirty_source = had_owner and self._holder_is_dirty(owner, block)
         # The owner's data is always forwarded directly to the requestor
         # (direct cache transfer); pure invalidation acks follow the
         # ``direct_inval_acks`` routing.
-        acks_done = self._invalidate_holders(slice_id, block, entry,
-                                             exclude=core, now=now,
-                                             t_dir=t_dir, ack_to=core)
+        acks_done = self._invalidate_holders(slice_id, block, entry, core,
+                                             now, t_dir, core)
         if not self._direct_acks:
             acks_done += self._s2c_lat[slice_id][core]
         if had_owner:
@@ -668,7 +659,7 @@ class Machine:
                 bd["llc"] = bd.get("llc", 0) + self._llc_lat
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
                                   + self._s2c_lat[slice_id][core])
-            self._record(_COMP_DATA, self._s2c_hops[slice_id][core])
+            self._record(COMP_DATA, self._s2c_hops[slice_id][core])
         else:
             dram_done = self._dram_read(block, t_dir)
             data_at_core = dram_done + self._s2c_lat[slice_id][core]
@@ -676,7 +667,7 @@ class Machine:
                 bd["dram"] = bd.get("dram", 0) + (dram_done - t_dir)
                 bd["noc_resp"] = (bd.get("noc_resp", 0)
                                   + self._s2c_lat[slice_id][core])
-            self._record(_COMP_DATA, self._s2c_hops[slice_id][core])
+            self._record(COMP_DATA, self._s2c_hops[slice_id][core])
 
         if self.bus.active:
             self._emit_handoff(block, owner, core)
@@ -692,9 +683,9 @@ class Machine:
                 bd["inval"] = (bd.get("inval", 0)
                                + (acks_done - data_at_core))
             bd["l1"] = bd.get("l1", 0) + self._l1_lat
-        grant = CacheState.UD if dirty_source else CacheState.UC
-        insert = self.privates[core].insert_l1(block, grant, fetched_by_amo)
-        self._handle_departures(core, insert.departures, now)
+        departures = self.privates[core].insert_l1(block, UD, fetched_by_amo)
+        if departures:
+            self._handle_departures(core, departures, now)
         return done
 
     # ------------------------------------------------------------------
@@ -703,7 +694,7 @@ class Machine:
 
     def _amo(self, core: int, op: MemOp, now: int) -> Tuple[int, Optional[int]]:
         stats = self.stats
-        is_load = op.type is OpType.AMO_LOAD
+        is_load = op.type is AMO_LOAD
         if is_load:
             stats.amo_loads += 1
         else:
@@ -712,10 +703,10 @@ class Machine:
         # Inlined PrivateCacheHierarchy.l1_state (placement is keyed on
         # the L1D state, Table I).
         l1_line = self._l1sets[core][block % self._l1n].get(block)
-        state = l1_line.state if l1_line is not None else CacheState.I
+        state = l1_line.state if l1_line is not None else I
         audit = None
         if state.is_unique:
-            placement = Placement.NEAR
+            placement = NEAR
             decided = False
             stats.near_amo_unique_hits += 1
         else:
@@ -726,7 +717,11 @@ class Machine:
                 audit = policy.audit_info(block)
             placement = policy.decide(block, state, now)
             decided = True
-            self.policy_stats[core].record(placement)
+            # Inlined PolicyStats.record.
+            if placement is NEAR:
+                self.policy_stats[core].near_decisions += 1
+            else:
+                self.policy_stats[core].far_decisions += 1
             for name, decide in self._shadow_decide[core]:
                 if decide(block, state, now) is not placement:
                     self._drop_shadow(name)
@@ -736,8 +731,8 @@ class Machine:
         bd = self._bd
         if bd is not None and start > now:
             bd["amo_order"] = start - now
-        if placement is Placement.NEAR:
-            done, value = self._amo_near(core, op, block, state, start)
+        if placement is NEAR:
+            done, value = self._amo_near(core, op, block, l1_line, start)
         else:
             done, value = self._amo_far(core, op, block, start)
         if done > self._amo_free[core]:
@@ -750,12 +745,12 @@ class Machine:
                 # Attribution audit: the policy's pre-decide view.  None
                 # for policies without an AMT (static policies).
                 info["amt"] = audit
-            if op.amo is AmoKind.CAS:
+            if op.amo is CAS:
                 # Lock-acquire observability: a CAS succeeded iff the old
                 # value it returned equals the comparand.
                 info["cas_ok"] = value == op.expected
             bus.emit(Event(
-                EventKind.AMO_NEAR if placement is Placement.NEAR
+                EventKind.AMO_NEAR if placement is NEAR
                 else EventKind.AMO_FAR,
                 start, core, block, info=info))
         if not is_load:
@@ -771,68 +766,64 @@ class Machine:
         old = values.get(addr, 0)
         # ADD dominates every Table III workload (counters, histograms,
         # reductions); skipping the dispatch table for it is measurable.
-        if op.amo is AmoKind.ADD:
+        if op.amo is ADD:
             values[addr] = old + op.value
         else:
             values[addr] = apply_amo(op.amo, old, op.value, op.expected)
         return old
 
     def _amo_near(self, core: int, op: MemOp, block: int,
-                  state: CacheState, now: int) -> Tuple[int, Optional[int]]:
-        """Execute the AMO in this core's L1D, acquiring the block first."""
+                  line: Optional[CacheLine],
+                  now: int) -> Tuple[int, Optional[int]]:
+        """Execute the AMO in this core's L1D, acquiring the block first.
+
+        ``line`` is the block's L1D line, or None when the L1D misses.
+        """
         stats = self.stats
-        priv = self.privates[core]
-        if state.is_valid:  # resident in L1: inlined touch_l1 (LRU +
+        bd = self._bd
+        if line is not None:  # resident in L1: inlined touch_l1 (LRU +
             # reuse marking), then upgrade in place unless already unique.
             stats.l1_hits += 1
             l1_set = self._l1sets[core][block % self._l1n]
-            line = l1_set.get(block)
-            if line is not None:
-                del l1_set[block]
-                l1_set[block] = line
-                if line.fetched_by_amo:
-                    line.reused = True
-            if state.is_unique:
-                priv.set_state(block, CacheState.UD)
+            del l1_set[block]
+            l1_set[block] = line
+            if line.fetched_by_amo:
+                line.reused = True
+            if line.state.is_unique:
                 exec_done = now + self._l1_lat + self._alu_lat
-                bd = self._bd
                 if bd is not None:
                     bd["l1"] = bd.get("l1", 0) + self._l1_lat
             else:  # SC or SD in L1
-                done = self._upgrade(core, block, now)
-                priv.set_state(block, CacheState.UD)
-                exec_done = done + self._alu_lat
+                exec_done = self._upgrade(core, block, now) + self._alu_lat
+            line.state = UD
         else:
             stats.l1_misses += 1
-            found, level = priv.find(block)
-            if found is not None and level == 2:
+            l2_line = self._l2sets[core][block % self._l2n].get(block)
+            if l2_line is not None:
                 stats.l2_hits += 1
-                result = priv.promote(block, fetched_by_amo=True)
-                self._handle_departures(core, result.departures, now)
-                bd = self._bd
+                departures = self.privates[core].promote(block, True)
+                if departures:
+                    self._handle_departures(core, departures, now)
                 if bd is not None:
                     bd["l2"] = bd.get("l2", 0) + self._l2_lat
-                if found.state.is_unique:
-                    priv.set_state(block, CacheState.UD)
+                if l2_line.state.is_unique:
                     exec_done = now + self._l2_lat + self._alu_lat
                 else:
-                    done = self._upgrade(core, block, now + self._l2_lat)
-                    priv.set_state(block, CacheState.UD)
-                    exec_done = done + self._alu_lat
+                    exec_done = (self._upgrade(core, block, now + self._l2_lat)
+                                 + self._alu_lat)
+                self._l1sets[core][block % self._l1n][block].state = UD
             else:
-                done = self._read_unique(core, block, now, fetched_by_amo=True)
-                priv.set_state(block, CacheState.UD)
-                exec_done = done + self._alu_lat
+                exec_done = (self._read_unique(core, block, now, True)
+                             + self._alu_lat)
 
         old = self._apply_amo_value(op)
         stats.near_amos += 1
         stats.amo_latency_sum += exec_done - now
         for hook in self._near_hooks[core]:
             hook(block, now)
-        bd = self._bd
         if bd is not None:
             bd["alu"] = bd.get("alu", 0) + self._alu_lat
-        if op.type is OpType.AMO_LOAD:
+        if op.type is AMO_LOAD:
             if bd is not None:
                 bd["commit"] = bd.get("commit", 0) + self._commit_stall
             return exec_done + self._commit_stall, old
@@ -843,7 +834,7 @@ class Machine:
         """Execute the AMO at the home node (Fig. 2 right)."""
         stats = self.stats
         slice_id, hn, entry, t_dir = self._home_request(
-            core, block, _ATOMIC_REQ, now)
+            core, block, ATOMIC_REQ, now)
         bd = self._bd
 
         # Dirty-holder scan without materializing the holder union set.
@@ -856,9 +847,8 @@ class Machine:
                     dirty_holder = True
                     break
         prev_owner = owner
-        snoop_done = self._invalidate_holders(slice_id, block, entry,
-                                              exclude=None, now=now,
-                                              t_dir=t_dir)
+        snoop_done = self._invalidate_holders(slice_id, block, entry, None,
+                                              now, t_dir)
         if self.bus.active:
             # Ownership centralizes at the home node (agent -1).
             self._emit_handoff(block, prev_owner, None)
@@ -899,9 +889,9 @@ class Machine:
         old = self._apply_amo_value(op)
         stats.far_amos += 1
         resp_hops = self._s2c_hops[slice_id][core]
-        if op.type is OpType.AMO_LOAD:
+        if op.type is AMO_LOAD:
             stats.far_amo_loads += 1
-            self._record(_AMO_DATA, resp_hops)
+            self._record(AMO_DATA, resp_hops)
             done = exec_done + self._s2c_lat[slice_id][core]
             stats.amo_latency_sum += done - now
             if bd is not None:
@@ -910,7 +900,7 @@ class Machine:
                 bd["commit"] = bd.get("commit", 0) + self._commit_stall
             return done + self._commit_stall, old
         stats.far_amo_stores += 1
-        self._record(_COMP_ACK, resp_hops)
+        self._record(COMP_ACK, resp_hops)
         ack = snoop_done + self._s2c_lat[slice_id][core]
         stats.amo_latency_sum += ack - now
         if bd is not None:
@@ -970,8 +960,8 @@ class Machine:
                               with_data: bool, block: int = -1) -> None:
         hops = self._s2c_hops[slice_id][target]
         record = self._record
-        record(_SNOOP, hops)
-        record(_SNOOP_DATA if with_data else _SNOOP_RESP, hops)
+        record(SNOOP, hops)
+        record(SNOOP_DATA if with_data else SNOOP_RESP, hops)
         bus = self.bus
         if bus.active:
             bus.emit(Event(EventKind.SNOOP, bus.now, target, block,
@@ -979,7 +969,7 @@ class Machine:
 
     def _holder_is_dirty(self, core: int, block: int) -> bool:
         # Inlined PrivateCacheHierarchy.find (L1 then L2) — called in a
-        # loop over holders on the far-AMO and ReadUnique paths.
+        # loop over holders on the far-AMO path.
         line = self._l1sets[core][block % self._l1n].get(block)
         if line is None:
             line = self._l2sets[core][block % self._l2n].get(block)
@@ -1016,10 +1006,20 @@ class Machine:
         s2c = self._s2c_lat[slice_id]
         l1_lat = self._l1_lat
         direct = self._direct_acks
+        l1_index = block % self._l1n
+        l2_index = block % self._l2n
         for holder in holders:
             if holder == exclude:
                 continue
-            line, was_in_l1 = self.privates[holder].invalidate(block)
+            # Inlined PrivateCacheHierarchy.invalidate: drop the copy
+            # from both levels.
+            l2_set = self._l2sets[holder][l2_index]
+            line = self._l1sets[holder][l1_index].pop(block, None)
+            was_in_l1 = line is not None
+            if was_in_l1:
+                l2_set.pop(block, None)
+            else:
+                line = l2_set.pop(block, None)
             entry.drop(holder)
             if line is None:
                 continue
@@ -1027,9 +1027,9 @@ class Machine:
             self.stats.invalidations += 1
             # Dirty holders must forward data; a UniqueClean holder also
             # forwards since the exclusive LLC has no copy.
-            forwards_data = line.state.is_dirty or line.state is CacheState.UC
-            self._record_snoop_traffic(slice_id, holder,
-                                       with_data=forwards_data, block=block)
+            forwards_data = line.state.is_dirty or line.state is UC
+            self._record_snoop_traffic(slice_id, holder, forwards_data,
+                                       block)
             if self.bus.active:
                 self.bus.emit(Event(
                     EventKind.INVALIDATION, self.bus.now, holder, block,
@@ -1050,7 +1050,8 @@ class Machine:
                     hook(block, line.fetched_by_amo, line.reused, now)
         return snoop_done
 
-    def _handle_departures(self, core: int, departures: List[Departure],
+    def _handle_departures(self, core: int,
+                           departures: Tuple[Departure, ...],
                            now: int) -> None:
         """Process eviction fallout from an L1 allocation."""
         for dep in departures:
@@ -1077,13 +1078,13 @@ class Machine:
         slice_id = block % self._nslices
         hn = self.home_nodes[slice_id]
         hops = self._c2s_hops[core][slice_id]
-        if line.state is CacheState.SC:
+        if line.state is SC:
             # LLC already has a copy from the shared grant; just tell the
             # directory.
-            self._record(_EVICT_NOTIFY, hops)
+            self._record(EVICT_NOTIFY, hops)
             return
         # UC/UD/SD carry data back; the exclusive LLC allocates it.
-        self._record(_WRITEBACK, hops)
+        self._record(WRITEBACK, hops)
         self._llc_fill(hn, block)
 
     def _llc_fill(self, hn: HomeNode, block: int) -> None:
@@ -1093,7 +1094,7 @@ class Machine:
             chan = self.addr_map.channel_of_block(victim.block)
             self.memory.access(chan, 0)
             self.stats.dram_writes += 1
-            self._record(_MEM_WRITE, 1)
+            self._record(MEM_WRITE, 1)
             bus = self.bus
             if bus.active:
                 bus.emit(Event(EventKind.DRAM_WRITE, bus.now,
@@ -1103,8 +1104,8 @@ class Machine:
         chan = self.addr_map.channel_of_block(block)
         done = self.memory.access(chan, issue_time)
         self.stats.dram_reads += 1
-        self._record(_MEM_READ, 1)
-        self._record(_MEM_DATA, 1)
+        self._record(MEM_READ, 1)
+        self._record(MEM_DATA, 1)
         if self.bus.active:
             self.bus.emit(Event(EventKind.DRAM_READ, issue_time,
                                 block=block, info={"channel": chan}))

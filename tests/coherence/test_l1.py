@@ -43,8 +43,7 @@ def test_l1_eviction_spills_to_l2(priv):
     blocks = [i * priv.l1.num_sets for i in range(ways + 1)]
     departures = []
     for b in blocks:
-        result = priv.insert_l1(b, CacheState.SC)
-        departures.extend(result.departures)
+        departures.extend(priv.insert_l1(b, CacheState.SC))
     assert len(departures) == 1
     dep = departures[0]
     assert dep.line.block == blocks[0]
@@ -151,6 +150,6 @@ def test_l2_eviction_leaves_hierarchy(priv):
     stride = max(priv.l1.num_sets, priv.l2.num_sets)
     left = []
     for i in range(l1_ways + l2_ways + 2):
-        result = priv.insert_l1(i * stride, CacheState.SC)
-        left.extend(d for d in result.departures if d.left_hierarchy)
+        left.extend(d for d in priv.insert_l1(i * stride, CacheState.SC)
+                    if d.left_hierarchy)
     assert left, "expected at least one hierarchy departure"

@@ -18,7 +18,7 @@ from repro.harness.executor import execute_spec
 from repro.harness.golden import (DEFAULT_DIGEST_PATH, GOLDEN_SCHEMA,
                                   TraceDigestSink, cell_key, digest_cell,
                                   golden_specs, grid_fingerprint,
-                                  load_digests, make_spec)
+                                  grouped_problems, load_digests, make_spec)
 from repro.sim.events import TraceSink
 
 DIGEST_PATH = os.path.join(os.path.dirname(__file__), "digests.json")
@@ -57,6 +57,13 @@ def test_cell_bit_identical(corpus, key):
         f"{key}: simulated behaviour drifted from the golden corpus; "
         f"intentional changes must be regenerated with "
         f"`repro golden --update`")
+
+
+def test_grouped_quiet_path_matches_corpus(corpus):
+    """The cells above run with a digest sink attached, which activates
+    the event bus; this runs the grid on a quiet bus, through the grouped
+    sweep path, and compares every ``result_sha256``."""
+    assert grouped_problems(corpus["cells"]) == []
 
 
 def test_trace_digest_matches_trace_file(tmp_path):

@@ -46,3 +46,14 @@ def test_merge():
     assert a.messages[MsgType.SNOOP] == 2
     assert a.total_messages() == 3
     assert a.flit_hops == 2 + 4 + 1
+
+
+def test_fresh_meter_reports_no_types_and_merge_adds_counts():
+    a, b = TrafficMeter(), TrafficMeter()
+    assert a.by_type() == {} and a.total_messages() == 0
+    b.record(MsgType.SNOOP, 1, count=3)
+    a.merge(b)
+    a.merge(b)
+    assert a.by_type() == {"SNOOP": 6}
+    assert a.messages[MsgType.SNOOP] == 6
+    assert b.by_type() == {"SNOOP": 3}

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import time
+
 import pytest
 
 from repro.cli import main
@@ -116,7 +118,27 @@ def test_perfetto_missing_input(capsys, tmp_path):
     assert "perfetto:" in capsys.readouterr().err
 
 
-def test_bench_command(capsys, tmp_path):
+class _FakeClock:
+    """Stands in for ``time`` in :mod:`repro.obs.bench`.
+
+    Each bench run reads ``perf_counter`` twice, so the runs measure the
+    given walls in turn, whatever the host's speed.
+    """
+
+    strftime = staticmethod(time.strftime)
+
+    def __init__(self, *walls):
+        self._reads = [t for wall in walls for t in (0.0, wall)]
+
+    def perf_counter(self):
+        return self._reads.pop(0)
+
+
+def test_bench_command(capsys, tmp_path, monkeypatch):
+    import repro.obs.bench as bench
+
+    # 1.0 s recorded, then a check at 1.0 s and one 20% slower.
+    monkeypatch.setattr(bench, "time", _FakeClock(1.0, 1.0, 1.2))
     history = tmp_path / "bench.json"
     assert main(["bench", "--history", str(history)]) == 0
     out = capsys.readouterr().out
@@ -125,4 +147,7 @@ def test_bench_command(capsys, tmp_path):
     assert main(["bench", "--history", str(history), "--check",
                  "--no-append"]) == 0
     out = capsys.readouterr().out
-    assert "baseline" in out
+    assert "baseline" in out and "REGRESSION" not in out
+    assert main(["bench", "--history", str(history), "--check",
+                 "--no-append"]) == 1
+    assert "REGRESSION" in capsys.readouterr().out

@@ -122,3 +122,85 @@ def test_traffic_walk_sees_every_counter_form():
                    "traffic.messages[t] = n", "stats.reads += 1",
                    "counts[msg] += 1"):
         assert list(_traffic_increments(source)) == [], source
+
+
+# --- per-operation code names enum members through module aliases ------
+
+#: Modules whose functions run per simulated operation: the Machine
+#: handlers and helpers, the engine loop, the coherence structures, the
+#: NoC accounting, the placement policies and the ISA factories.
+HOT_MODULES = ("sim/machine.py", "sim/engine.py", "coherence/cache.py",
+               "coherence/directory.py", "coherence/l1.py", "noc/mesh.py",
+               "noc/message.py", "core/policy.py", "core/amt.py",
+               "core/static_policies.py", "core/dynamo_reuse.py",
+               "core/dynamo_metric.py", "frontend/isa.py")
+
+
+def _hot_enums():
+    from repro.coherence.states import CacheState
+    from repro.core.policy import Placement
+    from repro.frontend.isa import AmoKind, OpType
+    from repro.noc.message import MsgType
+    return {cls.__name__: set(cls.__members__)
+            for cls in (CacheState, Placement, OpType, AmoKind, MsgType)}
+
+
+def _enum_member_loads(source, enums):
+    """``(function, line)`` of every ``Enum.MEMBER`` load inside a function.
+
+    Module-level and class-body loads (where the aliases are defined)
+    run once at import and are not reported.
+    """
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Lambda):
+            function = "<lambda>"
+        elif (function is not None and isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.attr in enums.get(node.value.id, ())):
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return list(visit(ast.parse(source), None))
+
+
+def _functions(source):
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_per_op_code_loads_no_enum_members():
+    """``CacheState.UC`` and the like cost ~150 ns through
+    ``EnumType.__getattr__``; per-op code uses the module aliases."""
+    enums = _hot_enums()
+    offenders = [f"{name}:{line} in {function}()"
+                 for name in HOT_MODULES
+                 for function, line in _enum_member_loads(
+                     (SRC / name).read_text(), enums)]
+    assert offenders == []
+
+
+def test_enum_load_walk_sees_every_form():
+    # Not vacuous: the hot functions are parsed ...
+    seen = set()
+    for name in HOT_MODULES:
+        seen |= _functions((SRC / name).read_text())
+    assert {"_amo", "_amo_near", "_invalidate_holders", "run", "record",
+            "by_type", "insert_l1", "decide", "on_block_departure",
+            "ldmin", "cas"} <= seen
+    # ... and every way of naming a member inside one is caught.
+    enums = _hot_enums()
+    for source in ("def f(s):\n    return s is CacheState.UC",
+                   "class M:\n    def h(self):\n        return Placement.NEAR",
+                   "def f():\n    g = lambda: OpType.READ",
+                   "def f():\n    def g():\n        return AmoKind.ADD",
+                   "def f(r):\n    r(MsgType.SNOOP, 1)"):
+        assert len(_enum_member_loads(source, enums)) == 1, source
+    for source in ("UC = CacheState.UC",
+                   "class A:\n    NEAR = Placement.NEAR",
+                   "def f(v):\n    return CacheState(v)",
+                   "def f():\n    return list(MsgType)",
+                   "def f(op):\n    return op.type.READ"):
+        assert _enum_member_loads(source, enums) == [], source
