@@ -86,6 +86,14 @@ def _workload_code(raw: str) -> str:
         f"unknown workload {raw!r} (try `repro list`)")
 
 
+def _positive_int(raw: str) -> int:
+    """A worker count: an integer >= 1."""
+    if not raw.isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _figure_name(raw: str) -> str:
     """Normalize figure names: "fig7", "figure7", "Fig 7" -> "7"."""
     name = raw.strip().lower()
@@ -130,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("which", type=_figure_name, choices=sorted(FIGURES),
                      help="figure name; 'fig7' and 'figure7' work too")
     fig.add_argument("--no-cache", action="store_true")
-    fig.add_argument("--jobs", type=int, default=None,
+    fig.add_argument("--jobs", type=_positive_int, default=None,
                      help="worker processes for cache misses "
                           "(default: $REPRO_JOBS or 1)")
 
@@ -209,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run the pinned micro-grid and append wall-time "
                       "numbers to the benchmark history")
-    bench.add_argument("--jobs", type=int, default=1,
+    bench.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes (part of the record key)")
     bench.add_argument("--history", metavar="FILE", default=None,
                        help="history file (default: BENCH_history.json)")
@@ -249,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     golden.add_argument("--digests", metavar="FILE", default=None,
                         help="digest corpus file "
                              "(default: tests/golden/digests.json)")
-    golden.add_argument("--jobs", type=int, default=1,
+    golden.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for the recompute")
 
     srv = sub.add_parser(
@@ -260,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=8321,
                      help="TCP port; 0 picks an ephemeral port "
                           "(default: 8321)")
-    srv.add_argument("--workers", type=int, default=None,
+    srv.add_argument("--workers", type=_positive_int, default=None,
                      help="simulation worker threads "
                           "(default: $REPRO_JOBS or 4)")
     srv.add_argument("--cache-dir", default=None,
@@ -593,10 +601,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers = default_jobs()
         if workers == 1:
             workers = 4
-    if workers < 1:
-        print(f"serve: --workers must be >= 1, got {workers}",
-              file=sys.stderr)
-        return 2
     store = ResultStore(args.cache_dir)
     return serve_forever(args.host, args.port, workers, store=store)
 

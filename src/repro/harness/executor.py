@@ -1,4 +1,4 @@
-"""Run planning and execution: specs, result store, serial/parallel executors.
+"""Run planning and execution: specs, result store, executor, process pool.
 
 The harness splits an experiment into three concerns:
 
@@ -18,14 +18,15 @@ The harness splits an experiment into three concerns:
   specs, all memo traffic is thread-safe, and an optional byte budget
   (``$REPRO_CACHE_BYTES``) evicts least-recently-used entries from
   disk after every write.
-* **Execution** — both executors deduplicate a batch's misses by cache
-  key and group them by everything but the policy.  Each group runs
-  through :func:`iter_group`, which simulates one cell per distinct
-  decision sequence: the other policies of the group ride along as
-  shadows and take the leader's result when they agreed with its every
-  placement decision (DESIGN.md §9).  :class:`SerialExecutor` runs the
-  groups in order in this process; :class:`ParallelExecutor` fans them
-  out over a ``concurrent.futures.ProcessPoolExecutor``.  Workers return
+* **Execution** — :class:`Executor` deduplicates a batch's misses by
+  cache key and groups them by everything but the policy.  Each group
+  runs through :func:`iter_group`, which simulates one cell per
+  distinct decision sequence: the other policies of the group ride
+  along as shadows and take the leader's result when they agreed with
+  its every placement decision (DESIGN.md §9).  At ``jobs == 1`` the
+  groups run in order in this process; otherwise they fan out over a
+  :class:`ProcessCompute`, the one process pool of the package, which
+  ``repro serve`` and ``repro golden --jobs N`` use too.  Workers return
   *serialized* result dicts and the parent deserializes and stores them,
   so a parallel sweep produces byte-identical cache files to a serial
   one.
@@ -42,6 +43,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -49,8 +51,10 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import (IO, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import Connection
+from typing import (IO, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.energy.model import EnergySink
 from repro.noc.message import MsgType, TrafficMeter
@@ -604,16 +608,6 @@ def iter_group(specs: Sequence[RunSpec]
         pending = [i for i in rest if specs[i].policy not in agreed]
 
 
-def _execute_serialized(spec: RunSpec) -> Dict:
-    """Worker entry point: run a spec, return the serialized result.
-
-    Workers hand back plain dicts (cheap to pickle); the parent is the
-    single writer to the store, which both keeps the memo coherent and
-    makes parallel cache files byte-identical to serial ones.
-    """
-    return serialize_result(execute_spec(spec))
-
-
 def _execute_group_serialized(specs: Sequence[RunSpec]) -> List[Dict]:
     """Worker entry point of a sweep: one policy group, serialized in
     the order of ``specs``."""
@@ -623,9 +617,10 @@ def _execute_group_serialized(specs: Sequence[RunSpec]) -> List[Dict]:
     return out
 
 
-#: One group of a batch's misses: ``(spec, batch indices)`` per distinct
-#: cell, all specs differing only in policy.
-_Group = List[Tuple[RunSpec, List[int]]]
+#: One distinct missing cell of a batch: ``(spec, batch indices)``.
+_Member = Tuple[RunSpec, List[int]]
+#: One group of a batch's misses, all specs differing only in policy.
+_Group = List[_Member]
 
 
 def _plan_misses(store: ResultStore, specs: Sequence[RunSpec]
@@ -634,7 +629,7 @@ def _plan_misses(store: ResultStore, specs: Sequence[RunSpec]
     deduplicated by cache key and grouped by spec-minus-policy (groups
     and their members in first-appearance order)."""
     results: List[Optional[SimulationResult]] = [None] * len(specs)
-    misses: Dict[str, Tuple[RunSpec, List[int]]] = {}
+    misses: Dict[str, _Member] = {}
     for i, spec in enumerate(specs):
         cached = store.load(spec)
         if cached is not None:
@@ -648,58 +643,116 @@ def _plan_misses(store: ResultStore, specs: Sequence[RunSpec]
     return results, list(groups.values())
 
 
-def _publish(store: ResultStore, results: List[Optional[SimulationResult]],
-             spec: RunSpec, idxs: List[int],
-             result: SimulationResult) -> None:
-    """Store one computed cell and fill its batch slots."""
-    store.store(spec, result)
-    for i in idxs:
-        results[i] = result
+def _exit_with_parent(lifeline: Connection) -> None:
+    """Pool initializer: end this worker when the pool's owner ends.
+
+    ``lifeline`` is the read end of a pipe whose only writer is the
+    owning process, so it reads EOF once that process is gone, even
+    after SIGKILL.  Idle workers otherwise block forever on the call
+    queue (and keep the forkserver and the owner's stdout pipe alive
+    with them).
+    """
+    def watch() -> None:
+        try:
+            lifeline.recv_bytes()
+        except (EOFError, OSError):
+            pass
+        os._exit(1)
+
+    threading.Thread(target=watch, name="lifeline", daemon=True).start()
 
 
-class SerialExecutor:
-    """Runs cells one after another in the calling process.
+class ProcessCompute:
+    """The one process pool: runs ``worker`` in child processes.
 
-    Misses are deduplicated and run group by group through
-    :func:`iter_group`; each result is stored as soon as its round
-    finishes, so a merged cell lands right after its leader.
+    :meth:`map_completed` runs ``worker`` over a list of items and
+    yields ``(index, output)`` as each finishes; calling the object
+    with a spec simulates that one cell (the serve path).  The default
+    worker returns serialized results that the caller deserializes, so
+    the caller stays the single writer to the store and cache files are
+    byte-identical to a serial run.
+
+    The pool uses the ``forkserver`` start method, because ``repro
+    serve`` is multi-threaded by the time it starts and a forked child
+    would inherit the lifeline's write end.  It is created on the first
+    submission, so building one starts no process.  A dead worker
+    breaks the whole pool: the items the pool had not finished rerun
+    once on a fresh pool, and a second death propagates as
+    :class:`BrokenProcessPool`.  Workers exit with the owning process,
+    however it ends.
     """
 
-    jobs = 1
+    def __init__(self, workers: int,
+                 worker: Callable = _execute_group_serialized) -> None:
+        self.workers = workers
+        self.worker = worker
+        self._lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._lifeline = multiprocessing.Pipe(duplex=False)
 
-    def __init__(self, store: Optional[ResultStore] = None) -> None:
-        self.store = store if store is not None else ResultStore()
+    def _current_pool(self) -> ProcessPoolExecutor:
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context("forkserver"),
+                    initializer=_exit_with_parent,
+                    initargs=(self._lifeline[0],))
+            return self._pool
 
-    def run(self, spec: RunSpec) -> SimulationResult:
-        cached = self.store.load(spec)
-        if cached is not None:
-            return cached
-        result = execute_spec(spec)
-        self.store.store(spec, result)
-        return result
+    def _retire(self, pool: ProcessPoolExecutor) -> None:
+        with self._lock:
+            if self._pool is pool:  # first caller to notice replaces it
+                self._pool = None
+        pool.shutdown(wait=False)
 
-    def run_many(self, specs: Iterable[RunSpec]) -> List[SimulationResult]:
-        specs = list(specs)
-        results, groups = _plan_misses(self.store, specs)
-        progress = SweepProgress(sum(len(group) for group in groups))
-        for group in groups:
-            for j, result in iter_group([spec for spec, _ in group]):
-                spec, idxs = group[j]
-                _publish(self.store, results, spec, idxs, result)
-                progress.step(spec)
-        return results  # type: ignore[return-value]
+    def map_completed(self, items: Sequence) -> Iterator[Tuple[int, object]]:
+        """Run ``worker`` on every item; yield ``(index, output)`` in
+        completion order.  A worker's own exception propagates."""
+        todo = dict(enumerate(items))
+        for retry in (False, True):
+            pool = self._current_pool()
+            futures: Dict = {}
+            broken = None
+            try:
+                for i, item in todo.items():
+                    futures[pool.submit(self.worker, item)] = i
+            except BrokenProcessPool as exc:
+                broken = exc
+            for future in as_completed(futures):
+                if isinstance(future.exception(), BrokenProcessPool):
+                    broken = future.exception()
+                    continue
+                del todo[futures[future]]
+                yield futures[future], future.result()
+            if broken is None:
+                return
+            self._retire(pool)
+            if retry:
+                raise broken
+
+    def __call__(self, spec: RunSpec) -> SimulationResult:
+        [(_, [data])] = self.map_completed([[spec]])
+        return deserialize_result(data)
+
+    def shutdown(self, wait: bool = True) -> None:
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait)
 
 
-class ParallelExecutor:
-    """Fans cache misses out over a process pool, one task per group.
+class Executor:
+    """Runs cells over a result store, one cell or one batch at a time.
 
-    Results are returned in the order of ``specs``.  Duplicate specs in
-    one batch are simulated once, and cells that differ only in policy
-    go to one worker as a group (:func:`iter_group`).  A batch with
-    fewer groups than ``jobs`` splits each group into strided parts, so
-    every worker gets a task; merges then happen within a part only.
-    The pool is created per batch: worker processes hold no state
-    between batches, and a batch of all-hits never spawns a pool at all.
+    A batch's misses are deduplicated and grouped (:func:`_plan_misses`)
+    and each result is stored as soon as it is known, so a merged cell
+    lands right after its leader.  At ``jobs == 1`` the groups run in
+    order in this process.  Otherwise they run on a
+    :class:`ProcessCompute` of ``jobs`` workers, made on the batch's
+    first miss and shut down when the batch returns, one task per group;
+    with fewer groups than ``jobs``, each group is split into strided
+    parts and merges happen within a part only.
     """
 
     def __init__(self, jobs: int,
@@ -720,31 +773,38 @@ class ParallelExecutor:
     def run_many(self, specs: Iterable[RunSpec]) -> List[SimulationResult]:
         specs = list(specs)
         results, groups = _plan_misses(self.store, specs)
-        if groups:
-            progress = SweepProgress(sum(len(group) for group in groups))
-            parts = -(-self.jobs // len(groups))
-            tasks = [group[k::parts] for group in groups
-                     for k in range(min(parts, len(group)))]
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures = {
-                    pool.submit(_execute_group_serialized,
-                                [spec for spec, _ in task]): task
-                    for task in tasks}
-                for future in as_completed(futures):
-                    for (spec, idxs), data in zip(futures[future],
-                                                  future.result()):
-                        _publish(self.store, results, spec, idxs,
-                                 deserialize_result(data))
-                        progress.step(spec)
+        progress = SweepProgress(sum(len(group) for group in groups))
+        for (spec, idxs), result in self._simulate(groups):
+            self.store.store(spec, result)
+            for i in idxs:
+                results[i] = result
+            progress.step(spec)
         return results  # type: ignore[return-value]
+
+    def _simulate(self, groups: List[_Group]
+                  ) -> Iterator[Tuple[_Member, SimulationResult]]:
+        """Yield ``((spec, idxs), result)`` per miss as it completes."""
+        if self.jobs == 1 or not groups:
+            for group in groups:
+                for j, result in iter_group([spec for spec, _ in group]):
+                    yield group[j], result
+            return
+        parts = -(-self.jobs // len(groups))
+        tasks = [group[k::parts] for group in groups
+                 for k in range(min(parts, len(group)))]
+        # Looked up at call time, so tests can swap the worker.
+        compute = ProcessCompute(self.jobs, _execute_group_serialized)
+        try:
+            for t, out in compute.map_completed(
+                    [[spec for spec, _ in task] for task in tasks]):
+                for member, data in zip(tasks[t], out):
+                    yield member, deserialize_result(data)
+        finally:
+            compute.shutdown()
 
 
 def make_executor(jobs: Optional[int] = None,
                   store: Optional[ResultStore] = None):
     """Executor for ``jobs`` workers (None -> ``$REPRO_JOBS`` -> serial)."""
     jobs = jobs if jobs is not None else default_jobs()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return SerialExecutor(store)
-    return ParallelExecutor(jobs, store)
+    return Executor(jobs, store)

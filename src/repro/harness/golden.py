@@ -19,9 +19,9 @@ committed to the repository at ``tests/golden/digests.json``:
 
 ``repro golden`` recomputes the corpus and compares (exit 1 on any
 drift).  It then runs the same specs once more as one batch through the
-grouped sweep path (:class:`~repro.harness.executor.SerialExecutor` over
-a disabled store, where decision-equivalent policies of a workload share
-one simulation) and compares every ``result_sha256`` too, so a merged
+grouped sweep path (an in-process :class:`~repro.harness.executor.Executor`
+over a disabled store, where decision-equivalent policies of a workload
+share one simulation) and compares every ``result_sha256`` too, so a merged
 cell that is not bit-identical to its own run fails the check.
 ``repro golden --update`` is the only way to regenerate the
 committed digests, and is meant to be run exactly when a PR
@@ -38,11 +38,10 @@ import dataclasses
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.executor import (ResultStore, RunSpec, SerialExecutor,
-                                    execute_spec, make_spec,
+from repro.harness.executor import (Executor, ProcessCompute, ResultStore,
+                                    RunSpec, execute_spec, make_spec,
                                     serialize_result)
 from repro.sim.events import Event, Sink
 from repro.sim.results import SimulationResult
@@ -149,19 +148,21 @@ def compute_digests(specs: Optional[Sequence[RunSpec]] = None,
     """Digest every cell of the grid; keys are :func:`cell_key` labels."""
     if specs is None:
         specs = golden_specs()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            digests = list(pool.map(digest_cell, specs))
-    else:
-        digests = [digest_cell(spec) for spec in specs]
-    return {cell_key(spec): digest for spec, digest in zip(specs, digests)}
+    if jobs == 1:
+        return {cell_key(spec): digest_cell(spec) for spec in specs}
+    compute = ProcessCompute(jobs, digest_cell)
+    try:
+        return {cell_key(specs[i]): digest
+                for i, digest in sorted(compute.map_completed(specs))}
+    finally:
+        compute.shutdown()
 
 
 def grouped_problems(cells: Dict[str, Dict[str, object]]) -> List[str]:
     """Run the grid as one batch through the grouped sweep path and
     report every cell whose ``result_sha256`` differs from ``cells``."""
     specs = golden_specs()
-    results = SerialExecutor(ResultStore(enabled=False)).run_many(specs)
+    results = Executor(1, ResultStore(enabled=False)).run_many(specs)
     problems = []
     for spec, result in zip(specs, results):
         key = cell_key(spec)

@@ -6,7 +6,9 @@ per cell and delegates execution to the executor layer, which memoizes
 results on disk (keyed by every input that affects the outcome) so that
 e.g. the Fig. 8 benchmark reuses the All Near baselines that Fig. 7
 already simulated.  Pass ``jobs`` (or set ``$REPRO_JOBS``) to fan sweeps
-out over worker processes.
+out over worker processes: forkserver children of the harness's one
+process pool (:class:`~repro.harness.executor.ProcessCompute`), which
+exit with this process and rerun a dead worker's tasks once.
 
 Long sweeps report progress: when stderr is a TTY the executor prints a
 ``[k/n] workload/policy (t.ts)`` line per simulated cell (cache hits are

@@ -2,9 +2,10 @@
 
 ``submit`` answers cache hits synchronously (no worker involved) and
 fans misses out over a ``ThreadPoolExecutor`` of flight threads.  By
-default each flight thread simulates its miss in a worker *process*
-(:class:`ProcessCompute`) and only waits here, so simulations never
-hold the GIL that cache hits and the HTTP front end need.
+default each flight thread simulates its miss in a worker *process* of
+the harness's :class:`~repro.harness.executor.ProcessCompute` (the same
+pool that parallel sweeps use) and only waits here, so simulations
+never hold the GIL that cache hits and the HTTP front end need.
 Deduplication happens at two levels:
 
 * **Scheduler-level** — while a key is being computed, later cells for
@@ -24,19 +25,14 @@ machinery the simulator's observability uses — reported by
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.connection import Connection
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.harness.executor import (ResultStore, RunSpec, _execute_serialized,
-                                    deserialize_result, serialize_result,
-                                    spec_label)
+from repro.harness.executor import (ProcessCompute, ResultStore, RunSpec,
+                                    serialize_result, spec_label)
 from repro.obs.histogram import Log2Histogram
 from repro.service.cache import (SOURCE_JOINED, SingleFlightCache)
 from repro.sim.results import SimulationResult
@@ -169,85 +165,6 @@ class _Pending:
     def __init__(self, spec: RunSpec, cell: Tuple[Job, Cell]) -> None:
         self.spec = spec
         self.cells: List[Tuple[Job, Cell]] = [cell]
-
-
-def _exit_with_server(lifeline: Connection) -> None:
-    """Pool initializer: end this worker when the server process ends.
-
-    ``lifeline`` is the read end of a pipe whose only writer is the
-    server, so it reads EOF once the server is gone, even after SIGKILL.
-    Idle workers otherwise block forever on the call queue (and keep
-    the forkserver and the server's stdout pipe alive with them).
-    """
-    def watch() -> None:
-        try:
-            lifeline.recv_bytes()
-        except (EOFError, OSError):
-            pass
-        os._exit(1)
-
-    threading.Thread(target=watch, name="lifeline", daemon=True).start()
-
-
-class ProcessCompute:
-    """Simulates misses in a process pool; the calling thread waits.
-
-    Each call runs ``worker`` (default :func:`_execute_serialized`) in a
-    worker process and deserializes the returned dict in the caller, so
-    the caller stays the single writer to the store and cache files are
-    byte-identical to a serial run (as in ``ParallelExecutor``).
-
-    The pool uses the ``forkserver`` start method, because the server
-    is multi-threaded by the time it starts and ``fork`` is unsafe
-    there.  It is created on the first call, so building a server
-    starts no process.  A dead worker breaks the whole pool: the call
-    replaces it and reruns the spec once on the fresh pool, and a
-    second death propagates as :class:`BrokenProcessPool`.  Workers
-    exit with the server process, however it ends.
-    """
-
-    def __init__(self, workers: int,
-                 worker: Callable[[RunSpec], Dict] = _execute_serialized
-                 ) -> None:
-        self.workers = workers
-        self.worker = worker
-        self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._lifeline = multiprocessing.Pipe(duplex=False)
-
-    def _current_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("forkserver"),
-                    initializer=_exit_with_server,
-                    initargs=(self._lifeline[0],))
-            return self._pool
-
-    def _run_once(self, spec: RunSpec) -> Dict:
-        pool = self._current_pool()
-        try:
-            return pool.submit(self.worker, spec).result()
-        except BrokenProcessPool:
-            with self._lock:
-                if self._pool is pool:  # first caller to notice replaces it
-                    self._pool = None
-            pool.shutdown(wait=False)
-            raise
-
-    def __call__(self, spec: RunSpec) -> SimulationResult:
-        try:
-            data = self._run_once(spec)
-        except BrokenProcessPool:
-            data = self._run_once(spec)
-        return deserialize_result(data)
-
-    def shutdown(self, wait: bool = True) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
 
 
 class Scheduler:

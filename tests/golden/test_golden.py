@@ -16,8 +16,8 @@ import pytest
 
 from repro.harness.executor import execute_spec
 from repro.harness.golden import (DEFAULT_DIGEST_PATH, GOLDEN_SCHEMA,
-                                  TraceDigestSink, cell_key, digest_cell,
-                                  golden_specs, grid_fingerprint,
+                                  TraceDigestSink, cell_key, compute_digests,
+                                  digest_cell, golden_specs, grid_fingerprint,
                                   grouped_problems, load_digests, make_spec)
 from repro.sim.events import TraceSink
 
@@ -64,6 +64,15 @@ def test_grouped_quiet_path_matches_corpus(corpus):
     the event bus; this runs the grid on a quiet bus, through the grouped
     sweep path, and compares every ``result_sha256``."""
     assert grouped_problems(corpus["cells"]) == []
+
+
+def test_pooled_digests_match_in_process_digests(corpus):
+    """``repro golden --jobs N`` digests cells in the shared process
+    pool; two cheap cells come back equal to the in-process ones."""
+    specs = [SPECS["WAT/present-near"], SPECS["WAT/all-near"]]
+    pooled = compute_digests(specs, jobs=2)
+    assert pooled == compute_digests(specs, jobs=1)
+    assert pooled == {key: corpus["cells"][key] for key in pooled}
 
 
 def test_trace_digest_matches_trace_file(tmp_path):

@@ -6,18 +6,20 @@ as a miss (never as a half-populated result), and a parallel sweep must
 produce byte-identical cache files to a serial one.
 """
 
+import functools
 import json
+import multiprocessing
 import os
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.harness.executor import (CacheSchemaError, ParallelExecutor,
-                                    ResultStore, SerialExecutor,
-                                    default_jobs, deserialize_result,
-                                    make_executor, make_spec,
-                                    serialize_result)
+from repro.harness import executor as ex
+from repro.harness.executor import (CacheSchemaError, ResultStore,
+                                    _execute_group_serialized, default_jobs,
+                                    deserialize_result, make_executor,
+                                    make_spec, serialize_result)
 from repro.harness.runner import Runner, speedups_vs_baseline
 from repro.noc.message import MsgType, TrafficMeter
 from repro.sim.config import DEFAULT_CONFIG
@@ -318,9 +320,9 @@ def test_default_jobs_env(monkeypatch):
     assert default_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "6")
     assert default_jobs() == 6
-    assert isinstance(make_executor(), ParallelExecutor)
+    assert make_executor().jobs == 6
     monkeypatch.setenv("REPRO_JOBS", "1")
-    assert isinstance(make_executor(), SerialExecutor)
+    assert make_executor().jobs == 1
     with pytest.raises(ValueError, match="jobs"):
         make_executor(jobs=0)
     monkeypatch.setenv("REPRO_JOBS", "zero")
@@ -351,8 +353,8 @@ def test_parallel_matches_serial_on_fig7_subgrid(tmp_path):
     """Cold-cache parallel sweep is byte-identical to the serial one."""
     serial = Runner(cache_dir=str(tmp_path / "serial"), jobs=1)
     parallel = Runner(cache_dir=str(tmp_path / "parallel"), jobs=4)
-    assert isinstance(serial._executor, SerialExecutor)
-    assert isinstance(parallel._executor, ParallelExecutor)
+    assert serial._executor.jobs == 1
+    assert parallel._executor.jobs == 4
     kwargs = dict(threads=4, scale=0.1)
     grid_s = serial.sweep(GRID_WORKLOADS, GRID_POLICIES, **kwargs)
     grid_p = parallel.sweep(GRID_WORKLOADS, GRID_POLICIES, **kwargs)
@@ -375,6 +377,32 @@ def test_parallel_deduplicates_and_orders(tmp_path):
     assert results[0] is results[2], "duplicate specs run once"
     assert results[0].policy == "all-near"
     assert results[1].policy == "unique-near"
+
+
+def die_once(marker, specs):
+    """Kill the first worker that runs this; later calls run the group."""
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+    except FileExistsError:
+        return _execute_group_serialized(specs)
+    os.close(fd)
+    os._exit(1)
+
+
+def test_parallel_sweep_survives_a_worker_death(tmp_path, monkeypatch):
+    """The dead worker's tasks rerun on a fresh pool; the batch equals
+    the serial one and leaves no child process behind."""
+    marker = str(tmp_path / "worker-died")
+    monkeypatch.setattr(ex, "_execute_group_serialized",
+                        functools.partial(die_once, marker))
+    specs = [make_spec(wl, pol, threads=4, scale=0.1)
+             for wl in GRID_WORKLOADS for pol in GRID_POLICIES]
+    parallel = make_executor(2, ResultStore(enabled=False)).run_many(specs)
+    assert os.path.exists(marker), "a worker must have died"
+    assert multiprocessing.active_children() == []
+    serial = make_executor(1, ResultStore(enabled=False)).run_many(specs)
+    assert [serialize_result(r) for r in parallel] == \
+        [serialize_result(r) for r in serial]
 
 
 # --- error reporting --------------------------------------------------

@@ -8,7 +8,6 @@ shadow the leader's result with only ``policy`` replaced.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -150,7 +149,7 @@ def test_serial_batch_simulates_duplicates_once(tmp_path, monkeypatch,
     monkeypatch.setenv("REPRO_PROGRESS", "1")
     store = ex.ResultStore(str(tmp_path), enabled=enabled)
     spec = ex.make_spec("HIST", "all-near", **ARGS)
-    results = ex.SerialExecutor(store).run_many([spec, spec])
+    results = ex.Executor(1, store).run_many([spec, spec])
     assert simulations == ["all-near"]
     assert results[0] is results[1]
     lines = capsys.readouterr().err.splitlines()
@@ -164,7 +163,7 @@ def test_serial_batch_groups_by_spec_minus_policy(tmp_path, simulations):
     specs = [ex.make_spec(code, pol, **ARGS)
              for pol in policies for code in ("HIST", "COUNTER")]
     store = ex.ResultStore(str(tmp_path))
-    results = ex.SerialExecutor(store).run_many(specs)
+    results = ex.Executor(1, store).run_many(specs)
     assert len(simulations) < len(specs), "no cell merged"
     reread = ex.ResultStore(str(tmp_path))
     for spec, result in zip(specs, results):
@@ -173,23 +172,22 @@ def test_serial_batch_groups_by_spec_minus_policy(tmp_path, simulations):
         assert _canonical(reread.load(spec)) == _canonical(result)
 
 
-def test_parallel_batch_splits_a_lone_group_over_the_workers(monkeypatch,
-                                                            simulations):
+def test_parallel_batch_splits_a_lone_group_over_the_workers(monkeypatch):
     """Fewer groups than jobs: each group is split into strided parts,
-    one task per worker, and every cell still equals its own run."""
+    one task per worker of the real pool, and every cell still equals
+    its own run."""
     tasks = []
-    real = ex._execute_group_serialized
+    real = ex.ProcessCompute.map_completed
 
-    def recording(specs):
-        tasks.append([spec.policy for spec in specs])
-        return real(specs)
+    def recording(self, items):
+        tasks.extend([spec.policy for spec in item] for item in items)
+        return real(self, items)
 
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", ThreadPoolExecutor)
-    monkeypatch.setattr(ex, "_execute_group_serialized", recording)
+    monkeypatch.setattr(ex.ProcessCompute, "map_completed", recording)
     policies = registry.STATIC_POLICY_NAMES + registry.DYNAMO_POLICY_NAMES
     specs = [ex.make_spec("HIST", pol, **ARGS) for pol in policies]
     store = ex.ResultStore(enabled=False)
-    results = ex.ParallelExecutor(2, store).run_many(specs)
+    results = ex.Executor(2, store).run_many(specs)
     assert sorted(tasks) == sorted([list(policies[0::2]),
                                     list(policies[1::2])])
     for spec, result in zip(specs, results):

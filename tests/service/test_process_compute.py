@@ -1,23 +1,24 @@
 """The default compute path: misses simulated in worker processes.
 
 ``make_server`` without an injected ``compute`` simulates misses through
-a :class:`~repro.service.scheduler.ProcessCompute`.  These tests pin
+a :class:`~repro.harness.executor.ProcessCompute`.  These tests pin
 that path end to end (golden bit-identity, the dedup accounting, lazy
 pool start, no child left behind) and its failure containment: a
 worker that dies gets one retry on a fresh pool, a second death is a
 per-cell error that is counted and never cached, and later misses
 still compute.  Worker deaths are injected through ``ProcessCompute``'s
-``worker`` argument with module-level (picklable) functions.
+``worker`` argument with module-level (picklable) functions that, like
+the default worker, take a list of specs and return a list of dicts.
 """
 
 import functools
 import multiprocessing
 import os
 
-from repro.harness.executor import ResultStore, serialize_result
+from repro.harness.executor import (ProcessCompute, ResultStore,
+                                    serialize_result)
 from repro.service.api import parse_batch
 from repro.service.app import make_server, serve
-from repro.service.scheduler import ProcessCompute
 from tests.service.conftest import Client, assert_untorn, stub_compute
 from tests.service.test_golden_service import (DIGESTS, GOLDEN_CELLS,
                                                _cells, _served_sha)
@@ -29,23 +30,23 @@ DOOMED = {"workload": "SPMV", "policy": "present-near", "threads": 8,
           "scale": 0.5, "seed": 0}
 
 
-def stub_worker(spec):
+def stub_worker(specs):
     """Worker-side stub compute, serialized like the real worker."""
-    return serialize_result(stub_compute(spec))
+    return [serialize_result(stub_compute(spec)) for spec in specs]
 
 
-def die_on_spmv(spec):
-    if spec.workload == "SPMV":
+def die_on_spmv(specs):
+    if any(spec.workload == "SPMV" for spec in specs):
         os._exit(1)
-    return stub_worker(spec)
+    return stub_worker(specs)
 
 
-def die_once(marker, spec):
+def die_once(marker, specs):
     """Kill the first worker that runs this; later calls compute."""
     try:
         fd = os.open(marker, os.O_CREAT | os.O_EXCL)
     except FileExistsError:
-        return stub_worker(spec)
+        return stub_worker(specs)
     os.close(fd)
     os._exit(1)
 

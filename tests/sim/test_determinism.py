@@ -3,7 +3,7 @@
 The golden corpus pins behaviour *across revisions*; these tests pin it
 *within* a revision: the same seeded spec must produce an identical
 ``SimulationResult`` when re-run in-process, when fanned out through
-``ParallelExecutor`` worker processes, when it shares a simulation with
+the ``Executor``'s worker processes, when it shares a simulation with
 the decision-equivalent policies of its group in a sweep, and when run
 in two separate fresh interpreters (which catches accidental dependence
 on dict order, ``id()``, ``hash()`` randomization, or module import
@@ -16,9 +16,8 @@ import subprocess
 import sys
 
 from repro.core.registry import DYNAMO_POLICY_NAMES, STATIC_POLICY_NAMES
-from repro.harness.executor import (ParallelExecutor, ResultStore,
-                                    SerialExecutor, execute_spec, make_spec,
-                                    serialize_result)
+from repro.harness.executor import (Executor, ResultStore, execute_spec,
+                                    make_spec, serialize_result)
 
 SPEC_ARGS = dict(threads=4, scale=0.25, seed=0)
 
@@ -45,8 +44,8 @@ def test_serial_vs_parallel_executor_identical():
     specs = [make_spec("COUNTER", "all-near", **SPEC_ARGS),
              make_spec("HIST", "dynamo-reuse-pn", **SPEC_ARGS),
              make_spec("SPMV", "present-near", **SPEC_ARGS)]
-    serial = SerialExecutor(ResultStore(enabled=False)).run_many(specs)
-    parallel = ParallelExecutor(
+    serial = Executor(1, ResultStore(enabled=False)).run_many(specs)
+    parallel = Executor(
         jobs=2, store=ResultStore(enabled=False)).run_many(specs)
     for spec, a, b in zip(specs, serial, parallel):
         assert _canonical(a) == _canonical(b), (
@@ -60,7 +59,7 @@ def test_grouped_sweep_matches_single_cells():
     specs = [make_spec("HIST", policy, **SPEC_ARGS)
              for policy in STATIC_POLICY_NAMES + DYNAMO_POLICY_NAMES]
     assert len(specs) == 8
-    grouped = SerialExecutor(ResultStore(enabled=False)).run_many(specs)
+    grouped = Executor(1, ResultStore(enabled=False)).run_many(specs)
     for spec, result in zip(specs, grouped):
         assert _canonical(result) == _canonical(execute_spec(spec)), (
             f"{spec.workload}/{spec.policy} differs between its grouped "

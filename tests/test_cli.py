@@ -56,6 +56,22 @@ def test_unknown_figure_rejected():
         main(["figure", "99"])
 
 
+@pytest.mark.parametrize("argv", [["figure", "7", "--jobs"],
+                                  ["golden", "--jobs"],
+                                  ["bench", "--jobs"],
+                                  ["serve", "--workers"]],
+                         ids=["figure", "golden", "bench", "serve"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_worker_counts_must_be_positive(capsys, argv, count):
+    """A worker count below 1 is a usage error, before any work runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [count])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"must be a positive integer, got '{count}'" in err
+
+
 # --- observability commands -------------------------------------------
 
 

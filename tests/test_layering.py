@@ -204,3 +204,51 @@ def test_enum_load_walk_sees_every_form():
                    "def f():\n    return list(MsgType)",
                    "def f(op):\n    return op.type.READ"):
         assert _enum_member_loads(source, enums) == [], source
+
+
+# --- one module builds process pools -----------------------------------
+
+#: The one module allowed to build a process pool (``ProcessCompute``).
+POOL_MODULE = "harness/executor.py"
+POOL_BUILDERS = ("ProcessPoolExecutor", "get_context")
+
+
+def _pool_names(source):
+    """Line numbers where ``source`` names a process-pool builder: as a
+    name, an attribute or an imported name."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        else:
+            continue
+        if name in POOL_BUILDERS:
+            yield node.lineno
+
+
+def test_only_the_executor_builds_process_pools():
+    """Sweeps, serve and golden share ``ProcessCompute``'s pool."""
+    offenders = [f"{path.relative_to(SRC)}:{line}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 if path.relative_to(SRC).as_posix() != POOL_MODULE
+                 for line in _pool_names(path.read_text())]
+    assert offenders == []
+
+
+def test_pool_walk_sees_every_form():
+    # Not vacuous: the pool module's own uses are found ...
+    assert list(_pool_names((SRC / POOL_MODULE).read_text()))
+    # ... and every way of naming a builder is caught.
+    for source in ("from concurrent.futures import ProcessPoolExecutor",
+                   "import concurrent.futures as cf\n"
+                   "cf.ProcessPoolExecutor(2)",
+                   "multiprocessing.get_context('fork')",
+                   "from multiprocessing import get_context as ctx"):
+        assert list(_pool_names(source)), source
+    for source in ("from concurrent.futures import ThreadPoolExecutor",
+                   "multiprocessing.Pipe(duplex=False)",
+                   "import multiprocessing"):
+        assert list(_pool_names(source)) == [], source
