@@ -12,15 +12,12 @@ Commands:
 * ``repro table {1,2,3,4}`` — print a paper table.
 * ``repro cost [--entries N] [--ways W] [--counter-bits B]`` — AMT
   hardware cost (paper Section VI-G).
-* ``repro profile --workload W [--policy P] [--format json] ...`` —
-  run one cell with the observability sinks attached and render a
-  diagnostics report (latency percentiles, interval time-series,
-  top-contended lines); ``--save``/``--load`` persist/replay the
-  profiled result as JSON, ``--format json`` prints it instead.
-* ``repro why WORKLOAD POLICY [--format json] ...`` — cycle-blame
+* ``repro why WORKLOAD POLICY [--format json] ...`` — the one-cell
   report: critical-path category breakdown (lock handoffs, barrier
-  waits, NoC/home-node/DRAM legs), hottest cache lines, AMT decision
-  audit.
+  waits, NoC/home-node/DRAM legs), hottest cache lines by blamed cycles
+  (with handoff and invalidation counts), AMT decision audit, latency
+  histograms and the interval time-series; ``--format json`` prints
+  the schema-validated document instead.
 * ``repro diff WORKLOAD POLICY_A POLICY_B [--format json] ...`` —
   side-by-side cycle blame for two policies on one workload: per
   category delta attribution plus the top diverging locks and lines.
@@ -87,7 +84,7 @@ def _workload_code(raw: str) -> str:
 
 
 def _positive_int(raw: str) -> int:
-    """A worker count: an integer >= 1."""
+    """A count (workers, threads, rows): an integer >= 1."""
     if not raw.isdigit() or int(raw) < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {raw!r}")
@@ -116,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("workload", choices=sorted(WORKLOADS))
     run.add_argument("--policy", default="all-near",
                      choices=sorted(POLICIES))
-    run.add_argument("--threads", type=int, default=None)
+    run.add_argument("--threads", type=_positive_int, default=None)
     run.add_argument("--scale", type=float, default=1.0)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--input", dest="input_name", default=None)
@@ -150,50 +147,22 @@ def _build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--ways", type=int, default=4)
     cost.add_argument("--counter-bits", type=int, default=5)
 
-    prof = sub.add_parser(
-        "profile", help="run one cell with observability sinks attached "
-                        "and render a diagnostics report")
-    prof.add_argument("--workload", type=_workload_code, default=None,
-                      help="Table III code or name (e.g. HIST or histogram)")
-    prof.add_argument("--policy", default="all-near",
-                      choices=sorted(POLICIES))
-    prof.add_argument("--threads", type=int, default=None)
-    prof.add_argument("--scale", type=float, default=1.0)
-    prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument("--input", dest="input_name", default=None)
-    prof.add_argument("--paper-system", action="store_true",
-                      help="use the full Table II system (32 cores)")
-    prof.add_argument("--interval", type=int, default=None,
-                      help="time-series sampling period in cycles "
-                           "(default: auto)")
-    prof.add_argument("--top", type=int, default=10,
-                      help="contended-line rows to show")
-    prof.add_argument("--save", metavar="FILE", default=None,
-                      help="also write the profiled result (with "
-                           "histogram/interval payloads) as JSON")
-    prof.add_argument("--load", metavar="FILE", default=None,
-                      help="render a previously --save'd profile "
-                           "instead of simulating")
-    prof.add_argument("--format", dest="fmt", choices=("text", "json"),
-                      default="text",
-                      help="json prints the serialized profiled result "
-                           "(the --save payload) instead of the report")
-
     def _attrib_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=_positive_int, default=None)
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--input", dest="input_name", default=None)
         p.add_argument("--paper-system", action="store_true",
                        help="use the full Table II system (32 cores)")
-        p.add_argument("--top", type=int, default=8,
+        p.add_argument("--top", type=_positive_int, default=8,
                        help="rows per table (locks, lines)")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text")
 
     why = sub.add_parser(
-        "why", help="cycle-blame report: critical path, per-category "
-                    "latency decomposition, AMT decision audit")
+        "why", help="explain one cell: critical path, per-category "
+                    "latency decomposition, AMT decision audit, latency "
+                    "histograms, interval time-series")
     why.add_argument("workload", type=_workload_code,
                      help="Table III code or name (e.g. HIST or histogram)")
     why.add_argument("policy", choices=sorted(POLICIES))
@@ -235,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--all", action="store_true", dest="lint_all",
                       help="lint every registered workload and the "
                            "coherence model")
-    lint.add_argument("--threads", type=int, default=8,
+    lint.add_argument("--threads", type=_positive_int, default=8,
                       help="cores to dry-run each workload with")
     lint.add_argument("--scale", type=float, default=1.0)
     lint.add_argument("--seed", type=int, default=0)
@@ -375,42 +344,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         data = driver(runner=Runner(use_cache=not args.no_cache,
                                     jobs=args.jobs))
     print(data.render())
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.harness.executor import make_spec
-    from repro.obs.report import (load_profile, profile_spec,
-                                  render_profile, save_profile)
-    from repro.obs.timeseries import DEFAULT_INTERVAL
-
-    if args.load is not None:
-        if args.workload is not None:
-            print("profile: --load renders a saved profile; "
-                  "--workload is ignored", file=sys.stderr)
-        result = load_profile(args.load)
-        print(render_profile(result, top=args.top))
-        return 0
-    if args.workload is None:
-        print("profile: --workload is required (unless --load is given)",
-              file=sys.stderr)
-        return 2
-    config = PAPER_CONFIG if args.paper_system else DEFAULT_CONFIG
-    spec = make_spec(args.workload, args.policy, threads=args.threads,
-                     scale=args.scale, seed=args.seed,
-                     input_name=args.input_name, config=config)
-    interval = args.interval if args.interval else DEFAULT_INTERVAL
-    result = profile_spec(spec, interval=interval)
-    if args.fmt == "json":
-        from repro.harness.executor import serialize_result
-
-        print(json.dumps(serialize_result(result), sort_keys=True))
-    else:
-        print(render_profile(result, top=args.top))
-    if args.save:
-        save_profile(result, args.save)
-        if args.fmt != "json":
-            print(f"\nprofile saved -> {args.save}")
     return 0
 
 
@@ -625,8 +558,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "cost":
         return _cmd_cost(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
     if args.command == "why":
         return _cmd_why(args)
     if args.command == "diff":

@@ -16,6 +16,15 @@ from repro.obs.attribution.categories import merge_into
 from repro.obs.attribution.critical import extract_critical_path
 from repro.sim.events import Event, EventKind, Sink
 
+# Module aliases: both sinks run on every event, and ``EventKind.X``
+# costs an enum-descriptor lookup each time.
+_OP_RETIRE = EventKind.OP_RETIRE
+_SYNC = EventKind.SYNC
+_LINE_HANDOFF = EventKind.LINE_HANDOFF
+_INVALIDATION = EventKind.INVALIDATION
+_AMO_NEAR = EventKind.AMO_NEAR
+_AMO_FAR = EventKind.AMO_FAR
+
 #: metadata payload schema versions (bumped on shape changes).
 BLAME_SCHEMA = 1
 AUDIT_SCHEMA = 1
@@ -25,8 +34,9 @@ class BlameSink(Sink):
     """Aggregates OP_RETIRE breakdowns, SYNC markers and line handoffs.
 
     Finalizes ``result.metadata["blame"]``: global gate/hidden category
-    totals, the per-block blame table, the line-handoff census and the
-    cross-core critical path (see
+    totals, the per-block blame table (with each block's handoff and
+    invalidation counts), the line-handoff census and the cross-core
+    critical path (see
     :func:`~repro.obs.attribution.critical.extract_critical_path`).
 
     *Gate* cycles are what the issuing core actually waited (they
@@ -50,10 +60,11 @@ class BlameSink(Sink):
         self.core_sync: Dict[int, List[Tuple[int, str, int]]] = {}
         self.handoffs: Dict[int, int] = {}
         self.handoff_cores: Dict[int, set] = {}
+        self.invalidations: Dict[int, int] = {}
 
     def on_event(self, event: Event) -> None:
         kind = event.kind
-        if kind is EventKind.OP_RETIRE:
+        if kind is _OP_RETIRE:
             info = event.info or {}
             bd: Dict[str, int] = info["bd"]  # type: ignore[assignment]
             merge_into(self.gate_totals, bd)
@@ -67,11 +78,11 @@ class BlameSink(Sink):
                     merge_into(block_bd, hidden)
             self.core_ops.setdefault(event.core, []).append(
                 (event.cycle, info["lat"], bd))  # type: ignore[arg-type]
-        elif kind is EventKind.SYNC:
+        elif kind is _SYNC:
             info = event.info or {}
             self.core_sync.setdefault(event.core, []).append(
                 (event.cycle, info["what"], info["addr"]))  # type: ignore
-        elif kind is EventKind.LINE_HANDOFF:
+        elif kind is _LINE_HANDOFF:
             block = event.block
             self.handoffs[block] = self.handoffs.get(block, 0) + 1
             cores = self.handoff_cores.setdefault(block, set())
@@ -80,6 +91,9 @@ class BlameSink(Sink):
                 who = info.get(key, -1)
                 if isinstance(who, int) and who >= 0:
                     cores.add(who)
+        elif kind is _INVALIDATION:
+            block = event.block
+            self.invalidations[block] = self.invalidations.get(block, 0) + 1
 
     def blame_payload(self, per_core_finish: List[int]) -> Dict[str, object]:
         """Build the JSON-ready blame payload (no result needed)."""
@@ -93,6 +107,7 @@ class BlameSink(Sink):
             "bd": dict(sorted(bd.items())),
             "handoffs": self.handoffs.get(block, 0),
             "handoff_cores": len(self.handoff_cores.get(block, ())),
+            "invalidations": self.invalidations.get(block, 0),
         } for block, bd in blocks[:self.top_blocks]]
         return {
             "schema": BLAME_SCHEMA,
@@ -144,7 +159,7 @@ class AuditSink(Sink):
 
     def on_event(self, event: Event) -> None:
         kind = event.kind
-        if kind is not EventKind.AMO_NEAR and kind is not EventKind.AMO_FAR:
+        if kind is not _AMO_NEAR and kind is not _AMO_FAR:
             return
         info = event.info or {}
         if not info.get("decided"):
@@ -154,7 +169,7 @@ class AuditSink(Sink):
         if isinstance(amt, list):  # trace round-trips turn tuples to lists
             amt = tuple(amt)
         self.decisions.append((
-            event.block, kind is EventKind.AMO_NEAR,
+            event.block, kind is _AMO_NEAR,
             _amt_group(amt), info["latency"]))  # type: ignore[arg-type]
 
     def audit_payload(self) -> Dict[str, object]:

@@ -1,16 +1,18 @@
 """``repro why`` / ``repro diff``: explain where a run's cycles went.
 
-``why_spec`` runs one cell with the attribution sinks attached and
-returns a result whose metadata carries the ``blame`` and ``amt_audit``
-payloads; ``why_payload`` flattens that into the JSON document the CLI
-emits under ``--format json`` (schema pinned in
+``why_spec`` runs one cell with the attribution sinks (``BlameSink``,
+``AuditSink``) and the latency-histogram and interval sinks attached,
+and returns a result whose metadata carries the ``blame``,
+``amt_audit``, ``histograms`` and ``intervals`` payloads;
+``why_payload`` flattens that into the JSON document the CLI emits
+under ``--format json`` (schema pinned in
 ``tests/schemas/why.schema.json``).  ``diff_specs`` runs two policies on
 the same workload and attributes their cycle delta category by
 category, plus the top diverging locks and cache lines.
 
-Attribution runs always simulate fresh (never touch the result cache)
-for the same reason ``repro profile`` does: metadata payloads must not
-leak into sweep cache files.
+Explained runs always simulate fresh and never touch the result cache:
+their metadata payloads must not leak into sweep cache files, or a
+parallel sweep would stop being byte-identical to a serial one.
 """
 
 from __future__ import annotations
@@ -20,15 +22,38 @@ from typing import Dict, List, Tuple
 from repro.harness.executor import RunSpec, execute_spec, spec_label
 from repro.obs.attribution.categories import PATH_ORDER, label_for
 from repro.obs.attribution.collect import AuditSink, BlameSink
+from repro.obs.histogram import (HistogramSink, histograms_from_metadata,
+                                 sparkline)
+from repro.obs.timeseries import IntervalSink, deltas
 from repro.sim.results import SimulationResult
 
 #: ``repro why`` / ``repro diff`` JSON document schema version.
 WHY_SCHEMA = 1
 
+#: Human labels for the standard histogram set, in render order.
+_HIST_LABELS = [
+    ("amo_near", "AMO near"),
+    ("amo_far", "AMO far"),
+    ("lock_acquire", "lock acquire"),
+    ("noc_queue", "NoC queueing"),
+]
+
+#: Interval-series rows: cumulative column -> label.
+_INTERVAL_ROWS = [
+    ("ops", "ops"),
+    ("near_amos", "near AMOs"),
+    ("far_amos", "far AMOs"),
+    ("far_decisions", "far decisions"),
+    ("invalidations", "invalidations"),
+    ("llc_accesses", "LLC accesses"),
+    ("dram_accesses", "DRAM accesses"),
+]
+
 
 def why_spec(spec: RunSpec) -> SimulationResult:
-    """Simulate ``spec`` with the attribution sinks attached."""
-    return execute_spec(spec, extra_sinks=(BlameSink(), AuditSink()))
+    """Simulate ``spec`` with the explaining sinks attached."""
+    return execute_spec(spec, extra_sinks=(
+        BlameSink(), AuditSink(), HistogramSink(), IntervalSink()))
 
 
 def _spec_fields(spec: RunSpec) -> Dict[str, object]:
@@ -49,6 +74,8 @@ def why_payload(result: SimulationResult,
         "amos": result.amos_committed,
         "blame": result.metadata["blame"],
         "amt_audit": result.metadata["amt_audit"],
+        "histograms": result.metadata.get("histograms", {}),
+        "intervals": result.metadata["intervals"],
     }
 
 
@@ -184,13 +211,13 @@ def render_why(result: SimulationResult, spec: RunSpec,
     rows = blame["top_blocks"][:top]
     if rows:
         lines.append(f"  {'block':>12} {'cycles':>10} {'handoffs':>9} "
-                     f"{'cores':>6}  top categories")
+                     f"{'cores':>6} {'invals':>7}  top categories")
         for row in rows:
             cats = sorted(row["bd"].items(), key=lambda kv: -kv[1])[:3]
             cat_text = " ".join(f"{cat}={cycles}" for cat, cycles in cats)
             lines.append(f"  {row['block']:>12} {row['cycles']:>10} "
                          f"{row['handoffs']:>9} {row['handoff_cores']:>6}"
-                         f"  {cat_text}")
+                         f" {row['invalidations']:>7}  {cat_text}")
     else:
         lines.append("  (no retired mem-ops)")
     lines.append("")
@@ -198,7 +225,8 @@ def render_why(result: SimulationResult, spec: RunSpec,
     lines.append("-- AMT decision audit --")
     lines.append(f"  decided AMOs: {audit['decided']} "
                  f"(+{audit['unique_fast']} unique-fast, no decision); "
-                 f"scored against counterfactual: {audit['scored']}")
+                 f"scored against counterfactual: {audit['scored']}; "
+                 f"AMO-buffer hits: {result.stats.amo_buffer_hits}")
     if audit["groups"]:
         lines.append(f"  {'placement/group':24} {'count':>8} "
                      f"{'cycles':>10} {'est saved':>10}")
@@ -211,7 +239,49 @@ def render_why(result: SimulationResult, spec: RunSpec,
                      " (vs per-block counterfactual placement)")
     else:
         lines.append("  (no decided AMOs)")
+    lines.append("")
+    lines.extend(_render_histograms(result))
+    lines.append("")
+    lines.extend(_render_intervals(result.metadata["intervals"]))
     return "\n".join(lines)
+
+
+def _render_histograms(result: SimulationResult) -> List[str]:
+    hists = histograms_from_metadata(result.metadata)
+    lines = ["-- latency histograms (cycles, log2 buckets) --",
+             f"  {'':14} {'count':>8} {'mean':>8} {'p50':>7} {'p90':>7} "
+             f"{'p99':>7} {'max':>8}"]
+    for key, label in _HIST_LABELS:
+        hist = hists.get(key)
+        if hist is None:
+            continue
+        lines.append(
+            f"  {label:14} {hist.count:>8} {hist.mean:>8.1f} "
+            f"{hist.percentile(50):>7.0f} {hist.percentile(90):>7.0f} "
+            f"{hist.percentile(99):>7.0f} {hist.max_value:>8} "
+            f"|{hist.sparkline()}|")
+    if len(lines) == 2:
+        lines.append("  (no latency events recorded)")
+    return lines
+
+
+def _render_intervals(payload: Dict[str, object]) -> List[str]:
+    columns: Dict[str, List[int]] = payload["columns"]  # type: ignore
+    lines = [f"-- interval time-series ({len(columns['cycle'])} samples, "
+             f"{payload['interval']} cycles each; first -> last) --"]
+    for key, label in _INTERVAL_ROWS:
+        series = deltas(columns[key])
+        if any(series):
+            lines.append(f"  {label:14} |{sparkline(series)}| "
+                         f"total={sum(series)}")
+    conf = columns["amt_confidence_sum"]
+    entries = columns["amt_entries"]
+    if any(entries):
+        mean_conf = [c / e if e else 0.0 for c, e in zip(conf, entries)]
+        lines.append(f"  {'AMT confidence':14} |{sparkline(mean_conf)}| "
+                     f"final mean={mean_conf[-1]:.1f} over "
+                     f"{entries[-1]} entries")
+    return lines
 
 
 def render_diff(payload: Dict[str, object], top: int = 8) -> str:

@@ -23,17 +23,33 @@ bus fast path stays zero-dispatch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.events import Event, EventKind, Sink
+
+# Module aliases: the sink runs on every event, and ``EventKind.X``
+# costs an enum-descriptor lookup each time.
+_AMO_NEAR = EventKind.AMO_NEAR
+_AMO_FAR = EventKind.AMO_FAR
+_MESSAGE = EventKind.MESSAGE
 
 #: Bucket count: bucket ``i`` holds values in ``[2**(i-1), 2**i)``, with
 #: bucket 0 holding values <= 0; 48 buckets cover any latency a
 #: :data:`~repro.harness.executor.MAX_CYCLES` run can produce.
 NUM_BUCKETS = 48
 
-#: Glyph ramp used by the terminal sparklines (space = empty bucket).
+#: Glyph ramp used by the terminal sparklines (space = zero).
 _SPARK = " .:-=+*#%@"
+
+
+def sparkline(values: Sequence[float]) -> str:
+    """One glyph per value, scaled to the largest (space for <= 0)."""
+    peak = max(values, default=0)
+    if peak <= 0:
+        return _SPARK[0] * len(values)
+    return "".join(
+        _SPARK[1 + int((len(_SPARK) - 2) * v / peak)] if v > 0
+        else _SPARK[0] for v in values)
 
 
 def bucket_of(value: int) -> int:
@@ -113,17 +129,7 @@ class Log2Histogram:
     def sparkline(self) -> str:
         """Render the occupied bucket range as a density ramp."""
         first, stop = self.nonzero_span()
-        if stop == 0:
-            return ""
-        peak = max(self.counts[first:stop])
-        out = []
-        for c in self.counts[first:stop]:
-            if c == 0:
-                out.append(_SPARK[0])
-            else:
-                idx = 1 + int((len(_SPARK) - 2) * c / peak)
-                out.append(_SPARK[idx])
-        return "".join(out)
+        return sparkline(self.counts[first:stop])
 
     def as_dict(self) -> Dict[str, object]:
         """Compact JSON form (buckets trimmed to the occupied span)."""
@@ -172,12 +178,12 @@ class HistogramSink(Sink):
 
     def on_event(self, event: Event) -> None:
         kind = event.kind
-        if kind is EventKind.AMO_NEAR or kind is EventKind.AMO_FAR:
+        if kind is _AMO_NEAR or kind is _AMO_FAR:
             info = event.info or {}
             latency = info.get("latency")
             if latency is None:
                 return
-            which = "amo_near" if kind is EventKind.AMO_NEAR else "amo_far"
+            which = "amo_near" if kind is _AMO_NEAR else "amo_far"
             self.histograms[which].record(latency)
             cas_ok = info.get("cas_ok")
             if cas_ok is None:
@@ -192,7 +198,7 @@ class HistogramSink(Sink):
                 self.histograms["lock_acquire"].record(acquire_latency)
             else:
                 self._acquiring.setdefault(key, event.cycle)
-        elif kind is EventKind.MESSAGE:
+        elif kind is _MESSAGE:
             info = event.info or {}
             enqueue = info.get("enqueue")
             if enqueue is not None:

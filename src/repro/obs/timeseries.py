@@ -7,7 +7,7 @@ DRAM pressure is phased or flat.  :class:`IntervalSink` snapshots the
 fused counter block (plus per-core policy state) every ``interval``
 cycles into a compact columnar record that serializes into
 ``SimulationResult.metadata`` and renders as per-interval sparklines in
-``repro profile``.
+``repro why``.
 
 Sampling is driven off the event stream: the sink takes a snapshot the
 first time it sees an event stamped at or beyond the next boundary (and

@@ -11,8 +11,8 @@ import pytest
 
 from repro.frontend import isa
 from repro.frontend.program import GeneratorProgram
+from repro.obs.attribution import AuditSink, BlameSink
 from repro.obs.histogram import HistogramSink
-from repro.obs.report import ContentionSink
 from repro.obs.timeseries import (DEFAULT_INTERVAL, IntervalSink, deltas,
                                   intervals_from_metadata)
 from repro.sim.config import TINY_CONFIG
@@ -125,10 +125,15 @@ def test_deltas():
 
 @pytest.mark.parametrize("policy", ["all-near", "dynamo-reuse-pn"])
 def test_sinks_are_timing_neutral(policy):
-    """Stats are bit-identical with the full observability set attached."""
+    """Stats are bit-identical with ``repro why``'s full sink set attached.
+
+    The attribution sinks put the machine on its stamped path, so this
+    also checks that path against the plain one.
+    """
     baseline = run_tiny(policy=policy, sinks=())
     observed = run_tiny(policy=policy, sinks=[
-        IntervalSink(interval=500), HistogramSink(), ContentionSink()])
+        BlameSink(), AuditSink(), HistogramSink(),
+        IntervalSink(interval=500)])
     assert observed.cycles == baseline.cycles
     assert observed.per_core_finish == baseline.per_core_finish
     assert observed.stats.as_dict() == baseline.stats.as_dict()
@@ -139,3 +144,4 @@ def test_sinks_are_timing_neutral(policy):
     # ... while actually having observed something.
     assert "intervals" in observed.metadata
     assert "intervals" not in baseline.metadata
+    assert {"blame", "amt_audit", "histograms"} <= set(observed.metadata)

@@ -56,14 +56,22 @@ def test_unknown_figure_rejected():
         main(["figure", "99"])
 
 
-@pytest.mark.parametrize("argv", [["figure", "7", "--jobs"],
-                                  ["golden", "--jobs"],
-                                  ["bench", "--jobs"],
-                                  ["serve", "--workers"]],
-                         ids=["figure", "golden", "bench", "serve"])
+@pytest.mark.parametrize("argv", [
+    ["figure", "7", "--jobs"],
+    ["golden", "--jobs"],
+    ["bench", "--jobs"],
+    ["serve", "--workers"],
+    ["run", "COUNTER", "--threads"],
+    ["why", "WAT", "all-near", "--threads"],
+    ["diff", "WAT", "all-near", "present-near", "--threads"],
+    ["lint", "WAT", "--threads"],
+    ["why", "WAT", "all-near", "--top"],
+    ["diff", "WAT", "all-near", "present-near", "--top"],
+], ids=["figure", "golden", "bench", "serve", "run-threads", "why-threads",
+        "diff-threads", "lint-threads", "why-top", "diff-top"])
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_worker_counts_must_be_positive(capsys, argv, count):
-    """A worker count below 1 is a usage error, before any work runs."""
+    """A count below 1 is a usage error, before any work runs."""
     with pytest.raises(SystemExit) as exc:
         main(argv + [count])
     assert exc.value.code == 2
@@ -76,14 +84,22 @@ def test_worker_counts_must_be_positive(capsys, argv, count):
 
 
 def test_profile_command(capsys, tmp_path, monkeypatch):
+    """``profile`` is gone; ``why`` renders everything it showed."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert main(["profile", "--workload", "histogram",
-                 "--policy", "dynamo-reuse-pn",
+    assert main(["why", "histogram", "dynamo-reuse-pn",
                  "--threads", "4", "--scale", "0.15"]) == 0
     out = capsys.readouterr().out
     assert "latency histograms" in out
     assert "interval time-series" in out
-    assert "policy decision breakdown" in out
+    hottest = out.split("-- hottest cache lines")[1].splitlines()
+    assert hottest[1].split()[:5] == ["block", "cycles", "handoffs",
+                                      "cores", "invals"]
+    assert "AMO-buffer hits:" in out
+    assert not list(tmp_path.iterdir())  # explained runs bypass the cache
+    with pytest.raises(SystemExit) as exc:
+        main(["profile"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
 
 
 def test_profile_accepts_code_or_name():
@@ -93,24 +109,6 @@ def test_profile_accepts_code_or_name():
     assert _workload_code("histogram") == "HIST"
     with pytest.raises(Exception):
         _workload_code("not-a-workload")
-
-
-def test_profile_requires_workload(capsys):
-    assert main(["profile"]) == 2
-    assert "--workload is required" in capsys.readouterr().err
-
-
-def test_profile_save_and_load(capsys, tmp_path):
-    saved = tmp_path / "profile.json"
-    assert main(["profile", "--workload", "COUNTER",
-                 "--threads", "4", "--scale", "0.5",
-                 "--save", str(saved)]) == 0
-    first = capsys.readouterr().out
-    assert saved.exists()
-    assert main(["profile", "--load", str(saved)]) == 0
-    second = capsys.readouterr().out
-    # The rendered report replays identically from the saved payload.
-    assert second.strip() in first
 
 
 def test_perfetto_command(capsys, tmp_path):
