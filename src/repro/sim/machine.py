@@ -28,10 +28,14 @@ corpus (``repro golden``).
 
 Accounting is stated once per concern.  Every protocol message goes
 through :meth:`Mesh.record`, which feeds the traffic meter and emits the
-MESSAGE event only when sinks are attached.  Every home-node transaction
-opens with the same request leg, :meth:`Machine._home_request`.  Cycle
-blame comes from one wrapper, :meth:`Machine._stamp`, which runs a
-handler unchanged and emits its OP_RETIRE event.
+MESSAGE event only when sinks are attached.  The home-node and ownership
+flows are sequences of shared legs (DESIGN.md §5): the request leg
+(:meth:`Machine._home_request`), the data leg (:meth:`Machine._data`),
+the response leg (:meth:`Machine._respond`), the write-permission path
+(:meth:`Machine._acquire`) and any other timed step
+(:meth:`Machine._leg`).  Each returns its time and, in a stamped run,
+adds its own blame category, so blame is recorded where the leg is
+timed; :meth:`Machine._stamp` emits the op's OP_RETIRE event.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import (Callable, Deque, Dict, Iterable, List, Optional,
 from repro.coherence.cache import CacheLine
 from repro.coherence.directory import DirEntry, DirectoryState, HomeNode
 from repro.coherence.l1 import Departure, PrivateCacheHierarchy
-from repro.coherence.states import SC, SD, UC, UD, I
+from repro.coherence.states import SC, SD, UC, UD, CacheState, I
 from repro.core.policy import NEAR, AmoPolicy, PolicyStats
 from repro.core.registry import make_policy
 from repro.frontend.isa import (ADD, AMO_LOAD, AMO_STORE, CAS, MARK,
@@ -182,9 +186,10 @@ class Machine:
         self._dir_entries = self.directory._entries
         # Per-op cycle-breakdown scratch (attribution stamps).  None on
         # the default path; the :meth:`_stamp` wrapper installs a fresh
-        # dict per op and the transaction helpers add the components they
-        # already compute.  The helpers' ``if bd is not None`` guards sit
-        # off the L1-hit fast paths, so default-mode cost is zero.
+        # dict per op and each leg helper adds the cycles it times.  The
+        # legs' ``if bd is not None`` guards sit off the L1-hit fast paths
+        # (bar the near AMO's Unique hit), so default-mode cost is one
+        # attribute test per leg.
         self._bd: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
@@ -437,8 +442,7 @@ class Machine:
             if departures:
                 self._handle_departures(core, departures, now)
             return now + self._l2_lat, deferred
-        done = self._read_shared(core, block, now)
-        return done, deferred
+        return self._read_shared(core, block, now), deferred
 
     def _read_shared(self, core: int, block: int, now: int) -> int:
         """Full ReadShared transaction; allocates into the L1D.
@@ -449,29 +453,24 @@ class Machine:
         stats.read_shared += 1
         slice_id, hn, entry, t_dir = self._home_request(
             core, block, READ_REQ, now)
-        bd = self._bd
-
         owner = entry.owner
-        data_from_owner = False
-        if owner is not None and owner != core:
-            # Snoop the owner for data; it downgrades.  Data is forwarded
-            # directly owner -> requestor (CHI direct cache transfer);
-            # the HN only waits for the snoop acknowledgement.
-            data_ready = (t_dir + self._s2c_lat[slice_id][owner]
-                          + self._l1_lat)
-            data_from_owner = True
-            owner_priv = self.privates[owner]
-            owner_line, _lvl = owner_priv.find(block)
+        resp_lat = self._s2c_lat[slice_id][core]
+        resp_hops = self._s2c_hops[slice_id][core]
+        ack_wait = 0  # how long the line stays busy after data_ready
+        if owner is None or owner == core:
+            data_ready = self._data(hn, block, t_dir, fill=True)
+        else:
+            # Snoop the owner for data; it downgrades.
             stats.snoops += 1
+            owner_line, _lvl = self.privates[owner].find(block)
             if owner_line is None:
                 # Directory raced ahead of a silent state we do not model;
                 # treat as LLC-sourced.
                 entry.drop(owner)
-                data_ready = t_dir + self._llc_lat
-                data_from_owner = False
                 hops = self._s2c_hops[slice_id][owner]
                 self._record(SNOOP, hops)
                 self._record(SNOOP_RESP, hops)
+                data_ready = self._leg(t_dir, self._llc_lat, "llc")
             else:
                 self._record_snoop_traffic(slice_id, owner, True, block)
                 dirty = owner_line.state.is_dirty
@@ -490,37 +489,18 @@ class Machine:
                         self._llc_fill(hn, block)
                 stats.downgrades += 1
                 if self.bus.active:
-                    self._emit_downgrade(owner, block)
-        elif hn.llc_lookup(block):
-            data_ready = t_dir + self._llc_lat
-        else:
-            data_ready = self._dram_read(block, t_dir)
-            self._llc_fill(hn, block)
-
-        if bd is not None:
-            if data_from_owner:
-                bd["snoop"] = bd.get("snoop", 0) + (data_ready - t_dir)
-            elif data_ready - t_dir == self._llc_lat:
-                # LLC hit, or a raced owner (LLC after a void snoop).
-                bd["llc"] = bd.get("llc", 0) + self._llc_lat
-            else:
-                bd["dram"] = bd.get("dram", 0) + (data_ready - t_dir)
-
-        if data_from_owner:
-            # DCT: final leg is owner -> requestor; the HN frees the line
-            # once the snoop acknowledgement returns.
-            entry.line_busy_until = t_dir + self._snoop_rtt(slice_id, owner)
-            resp_lat = self._c2c_lat[owner][core]
-            resp_hops = self._c2c_hops[owner][core]
-        else:
-            entry.line_busy_until = data_ready
-            resp_lat = self._s2c_lat[slice_id][core]
-            resp_hops = self._s2c_hops[slice_id][core]
-        self._record(COMP_DATA, resp_hops)
-        done = data_ready + resp_lat + self._l1_lat
-        if bd is not None:
-            bd["noc_resp"] = bd.get("noc_resp", 0) + resp_lat
-            bd["l1"] = bd.get("l1", 0) + self._l1_lat
+                    self.bus.emit(Event(EventKind.DOWNGRADE, self.bus.now,
+                                        owner, block))
+                # Data is forwarded directly owner -> requestor (CHI
+                # direct cache transfer); the HN frees the line once the
+                # snoop acknowledgement returns.
+                ack_wait = self._s2c_lat[slice_id][owner]
+                data_ready = self._leg(t_dir, ack_wait + self._l1_lat,
+                                       "snoop")
+                resp_lat = self._c2c_lat[owner][core]
+                resp_hops = self._c2c_hops[owner][core]
+        entry.line_busy_until = data_ready + ack_wait
+        done = self._respond(COMP_DATA, data_ready, resp_lat, resp_hops)
 
         # Grant state: Unique when nobody else holds a copy.
         owner_now = entry.owner
@@ -531,16 +511,8 @@ class Machine:
             sharers.add(core)
         else:
             grant = UC
-            entry.owner = core
-            sharers.discard(core)
-            hn.llc_drop(block)
-            hn.amo_buffer.invalidate(block)
-            if self.bus.active:
-                self._emit_handoff(block, owner, core)
-        departures = self.privates[core].insert_l1(block, grant)
-        if departures:
-            self._handle_departures(core, departures, now)
-        return done
+            self._own(hn, entry, block, owner, core)
+        return self._fill_l1(core, block, grant, False, now, done)
 
     # ------------------------------------------------------------------
     # stores
@@ -565,23 +537,34 @@ class Machine:
                 drain = self._upgrade(core, block, now)
             line.state = UD
         else:
-            stats.l1_misses += 1
-            l2_line = self._l2sets[core][block % self._l2n].get(block)
-            if l2_line is not None:
-                stats.l2_hits += 1
-                departures = self.privates[core].promote(block)
-                if departures:
-                    self._handle_departures(core, departures, now)
-                if l2_line.state.is_unique:
-                    drain = now + self._l2_lat
-                else:
-                    drain = self._upgrade(core, block, now + self._l2_lat)
-                l1_set[block].state = UD
-            else:
-                drain = self._read_unique(core, block, now, False)
+            drain = self._acquire(core, block, now, False)
         self.values[op.addr] = op.value
-        visible = self._store_issue(core, now, drain)
-        return visible, None
+        return self._store_issue(core, now, drain), None
+
+    def _acquire(self, core: int, block: int, now: int,
+                 by_amo: bool) -> int:
+        """Write permission on an L1D miss, for stores and near AMOs:
+        promote an L2 copy (upgrading it unless unique), else ReadUnique.
+
+        Returns when the block is usable UniqueDirty in the L1D.  Only a
+        near AMO (``by_amo``) blames its L2 hit: write drains carry no
+        L1/L2 entries.
+        """
+        stats = self.stats
+        stats.l1_misses += 1
+        l2_line = self._l2sets[core][block % self._l2n].get(block)
+        if l2_line is None:
+            return self._read_unique(core, block, now, by_amo)
+        stats.l2_hits += 1
+        departures = self.privates[core].promote(block, by_amo)
+        if departures:
+            self._handle_departures(core, departures, now)
+        now = (self._leg(now, self._l2_lat, "l2") if by_amo
+               else now + self._l2_lat)
+        ready = (now if l2_line.state.is_unique
+                 else self._upgrade(core, block, now))
+        self._l1sets[core][block % self._l1n][block].state = UD
+        return ready
 
     def _upgrade(self, core: int, block: int, now: int) -> int:
         """CleanUnique: gain write permission for a block already held
@@ -589,35 +572,23 @@ class Machine:
         self.stats.upgrades += 1
         slice_id, hn, entry, t_dir = self._home_request(
             core, block, READ_REQ, now)
-        bd = self._bd
         # CHI-faithful flow: snoop responses return to the HN, which then
         # sends Comp.  With ``direct_inval_acks`` the acks instead travel
         # straight to the requestor and Comp is sent at ordering time.
         prev_owner = entry.owner
         acks_done = self._invalidate_holders(slice_id, block, entry, core,
                                              now, t_dir, core)
-        if self.bus.active:
-            self._emit_handoff(block, prev_owner, core)
-        entry.owner = core
-        entry.sharers.clear()
+        self._own(hn, entry, block, prev_owner, core)
         entry.line_busy_until = acks_done
-        hn.llc_drop(block)
-        hn.amo_buffer.invalidate(block)
-        self._record(COMP_ACK, self._s2c_hops[slice_id][core])
-        if self._direct_acks:
-            comp_at_core = t_dir + self._s2c_lat[slice_id][core]
-            if bd is not None:
-                if comp_at_core >= acks_done:
-                    bd["noc_resp"] = (bd.get("noc_resp", 0)
-                                      + self._s2c_lat[slice_id][core])
-                else:
-                    bd["inval"] = bd.get("inval", 0) + (acks_done - t_dir)
-            return comp_at_core if comp_at_core >= acks_done else acks_done
-        if bd is not None:
-            bd["inval"] = bd.get("inval", 0) + (acks_done - t_dir)
-            bd["noc_resp"] = (bd.get("noc_resp", 0)
-                              + self._s2c_lat[slice_id][core])
-        return acks_done + self._s2c_lat[slice_id][core]
+        comp_lat = self._s2c_lat[slice_id][core]
+        comp_hops = self._s2c_hops[slice_id][core]
+        if self._direct_acks and t_dir + comp_lat >= acks_done:
+            return self._respond(COMP_ACK, t_dir, comp_lat, comp_hops)
+        acked = self._leg(t_dir, acks_done - t_dir, "inval")
+        if self._direct_acks:  # the last ack lands after Comp
+            self._record(COMP_ACK, comp_hops)
+            return acked
+        return self._respond(COMP_ACK, acked, comp_lat, comp_hops)
 
     def _read_unique(self, core: int, block: int, now: int,
                      fetched_by_amo: bool) -> int:
@@ -627,14 +598,10 @@ class Machine:
         Both callers write the block at once, so it is installed
         UniqueDirty.
         """
-        stats = self.stats
-        stats.read_unique += 1
+        self.stats.read_unique += 1
         slice_id, hn, entry, t_dir = self._home_request(
             core, block, READ_REQ, now)
-        bd = self._bd
-
         owner = entry.owner
-        had_owner = owner is not None and owner != core
         # The owner's data is always forwarded directly to the requestor
         # (direct cache transfer); pure invalidation acks follow the
         # ``direct_inval_acks`` routing.
@@ -642,51 +609,21 @@ class Machine:
                                              now, t_dir, core)
         if not self._direct_acks:
             acks_done += self._s2c_lat[slice_id][core]
-        if had_owner:
-            data_at_core = (t_dir + self._s2c_lat[slice_id][owner]
-                            + self._l1_lat
-                            + self._c2c_lat[owner][core])
-            if bd is not None:
-                bd["snoop"] = (bd.get("snoop", 0)
-                               + self._s2c_lat[slice_id][owner]
-                               + self._l1_lat)
-                bd["noc_resp"] = (bd.get("noc_resp", 0)
-                                  + self._c2c_lat[owner][core])
-        elif hn.llc_lookup(block):
-            data_at_core = (t_dir + self._llc_lat
-                            + self._s2c_lat[slice_id][core])
-            if bd is not None:
-                bd["llc"] = bd.get("llc", 0) + self._llc_lat
-                bd["noc_resp"] = (bd.get("noc_resp", 0)
-                                  + self._s2c_lat[slice_id][core])
-            self._record(COMP_DATA, self._s2c_hops[slice_id][core])
+        if owner is not None and owner != core:
+            forwarded = self._leg(t_dir, self._s2c_lat[slice_id][owner]
+                                  + self._l1_lat, "snoop")
+            data_at_core = self._leg(forwarded, self._c2c_lat[owner][core],
+                                     "noc_resp")
         else:
-            dram_done = self._dram_read(block, t_dir)
-            data_at_core = dram_done + self._s2c_lat[slice_id][core]
-            if bd is not None:
-                bd["dram"] = bd.get("dram", 0) + (dram_done - t_dir)
-                bd["noc_resp"] = (bd.get("noc_resp", 0)
-                                  + self._s2c_lat[slice_id][core])
-            self._record(COMP_DATA, self._s2c_hops[slice_id][core])
-
-        if self.bus.active:
-            self._emit_handoff(block, owner, core)
-        entry.owner = core
-        entry.sharers.clear()
-        busy = acks_done if acks_done >= data_at_core else data_at_core
+            data_at_core = self._respond(
+                COMP_DATA, self._data(hn, block, t_dir),
+                self._s2c_lat[slice_id][core], self._s2c_hops[slice_id][core])
+        self._own(hn, entry, block, owner, core)
+        busy = data_at_core
+        if acks_done > busy:
+            busy = self._leg(busy, acks_done - busy, "inval")
         entry.line_busy_until = busy
-        hn.llc_drop(block)
-        hn.amo_buffer.invalidate(block)
-        done = busy + self._l1_lat
-        if bd is not None:
-            if acks_done > data_at_core:
-                bd["inval"] = (bd.get("inval", 0)
-                               + (acks_done - data_at_core))
-            bd["l1"] = bd.get("l1", 0) + self._l1_lat
-        departures = self.privates[core].insert_l1(block, UD, fetched_by_amo)
-        if departures:
-            self._handle_departures(core, departures, now)
-        return done
+        return self._fill_l1(core, block, UD, fetched_by_amo, now, busy)
 
     # ------------------------------------------------------------------
     # atomics
@@ -728,13 +665,21 @@ class Machine:
         # Per-core atomic ordering: wait for the previous AMO to complete.
         free = self._amo_free[core]
         start = now if now >= free else free
-        bd = self._bd
-        if bd is not None and start > now:
-            bd["amo_order"] = start - now
         if placement is NEAR:
             done, value = self._amo_near(core, op, block, l1_line, start)
         else:
             done, value = self._amo_far(core, op, block, start)
+        if is_load:
+            # The returned value refills the core's pipeline.
+            done += self._commit_stall
+        bd = self._bd
+        if bd is not None:
+            if start > now:
+                bd["amo_order"] = start - now
+            # Either placement runs the ALU op once (timed in the flow).
+            bd["alu"] = self._alu_lat
+            if is_load:
+                bd["commit"] = self._commit_stall
         if done > self._amo_free[core]:
             self._amo_free[core] = done
         bus = self.bus
@@ -778,9 +723,9 @@ class Machine:
         """Execute the AMO in this core's L1D, acquiring the block first.
 
         ``line`` is the block's L1D line, or None when the L1D misses.
+        :meth:`_amo` adds a load's commit stall.
         """
         stats = self.stats
-        bd = self._bd
         if line is not None:  # resident in L1: inlined touch_l1 (LRU +
             # reuse marking), then upgrade in place unless already unique.
             stats.l1_hits += 1
@@ -790,53 +735,32 @@ class Machine:
             if line.fetched_by_amo:
                 line.reused = True
             if line.state.is_unique:
-                exec_done = now + self._l1_lat + self._alu_lat
+                ready = now + self._l1_lat
+                bd = self._bd
                 if bd is not None:
-                    bd["l1"] = bd.get("l1", 0) + self._l1_lat
+                    bd["l1"] = self._l1_lat
             else:  # SC or SD in L1
-                exec_done = self._upgrade(core, block, now) + self._alu_lat
+                ready = self._upgrade(core, block, now)
             line.state = UD
         else:
-            stats.l1_misses += 1
-            l2_line = self._l2sets[core][block % self._l2n].get(block)
-            if l2_line is not None:
-                stats.l2_hits += 1
-                departures = self.privates[core].promote(block, True)
-                if departures:
-                    self._handle_departures(core, departures, now)
-                if bd is not None:
-                    bd["l2"] = bd.get("l2", 0) + self._l2_lat
-                if l2_line.state.is_unique:
-                    exec_done = now + self._l2_lat + self._alu_lat
-                else:
-                    exec_done = (self._upgrade(core, block, now + self._l2_lat)
-                                 + self._alu_lat)
-                self._l1sets[core][block % self._l1n][block].state = UD
-            else:
-                exec_done = (self._read_unique(core, block, now, True)
-                             + self._alu_lat)
-
+            ready = self._acquire(core, block, now, True)
+        exec_done = ready + self._alu_lat
         old = self._apply_amo_value(op)
         stats.near_amos += 1
         stats.amo_latency_sum += exec_done - now
         for hook in self._near_hooks[core]:
             hook(block, now)
-        if bd is not None:
-            bd["alu"] = bd.get("alu", 0) + self._alu_lat
-        if op.type is AMO_LOAD:
-            if bd is not None:
-                bd["commit"] = bd.get("commit", 0) + self._commit_stall
-            return exec_done + self._commit_stall, old
-        return exec_done, None
+        return exec_done, (old if op.type is AMO_LOAD else None)
 
     def _amo_far(self, core: int, op: MemOp, block: int,
                  now: int) -> Tuple[int, Optional[int]]:
-        """Execute the AMO at the home node (Fig. 2 right)."""
+        """Execute the AMO at the home node (Fig. 2 right).
+
+        :meth:`_amo` adds a load's commit stall.
+        """
         stats = self.stats
         slice_id, hn, entry, t_dir = self._home_request(
             core, block, ATOMIC_REQ, now)
-        bd = self._bd
-
         # Dirty-holder scan without materializing the holder union set.
         owner = entry.owner
         dirty_holder = (owner is not None
@@ -846,41 +770,20 @@ class Machine:
                 if holder != owner and self._holder_is_dirty(holder, block):
                     dirty_holder = True
                     break
-        prev_owner = owner
         snoop_done = self._invalidate_holders(slice_id, block, entry, None,
                                               now, t_dir)
         if self.bus.active:
             # Ownership centralizes at the home node (agent -1).
-            self._emit_handoff(block, prev_owner, None)
+            self._emit_handoff(block, owner, None)
         buffer_hit = hn.amo_buffer.access(block)
-        if dirty_holder:
-            data_ready = snoop_done
-            if bd is not None:
-                bd["snoop"] = bd.get("snoop", 0) + (snoop_done - t_dir)
-        else:
-            if buffer_hit:
-                stats.amo_buffer_hits += 1
-                data_ready = t_dir + self._amo_buf_lat
-                if bd is not None:
-                    bd["amo_buf"] = bd.get("amo_buf", 0) + self._amo_buf_lat
-            elif hn.llc_lookup(block):
-                data_ready = t_dir + self._llc_lat
-                if bd is not None:
-                    bd["llc"] = bd.get("llc", 0) + self._llc_lat
-            else:
-                data_ready = self._dram_read(block, t_dir)
-                if bd is not None:
-                    bd["dram"] = bd.get("dram", 0) + (data_ready - t_dir)
-            # Clean data still waits for the last invalidation ack.
-            if snoop_done > data_ready:
-                if bd is not None:
-                    bd["snoop"] = (bd.get("snoop", 0)
-                                   + (snoop_done - data_ready))
-                data_ready = snoop_done
-
+        # A dirty holder's data comes back with its snoop response; clean
+        # data still waits for the last invalidation ack.
+        data_ready = (t_dir if dirty_holder
+                      else self._data(hn, block, t_dir, buffer_hit))
+        if snoop_done > data_ready:
+            data_ready = self._leg(data_ready, snoop_done - data_ready,
+                                   "snoop")
         exec_done = data_ready + self._alu_lat
-        if bd is not None:
-            bd["alu"] = bd.get("alu", 0) + self._alu_lat
         entry.line_busy_until = exec_done
         hn.far_amos_executed += 1
         # After a far AMO no private cache holds the block; the HN does.
@@ -888,25 +791,18 @@ class Machine:
 
         old = self._apply_amo_value(op)
         stats.far_amos += 1
+        resp_lat = self._s2c_lat[slice_id][core]
         resp_hops = self._s2c_hops[slice_id][core]
         if op.type is AMO_LOAD:
             stats.far_amo_loads += 1
-            self._record(AMO_DATA, resp_hops)
-            done = exec_done + self._s2c_lat[slice_id][core]
-            stats.amo_latency_sum += done - now
-            if bd is not None:
-                bd["noc_resp"] = (bd.get("noc_resp", 0)
-                                  + self._s2c_lat[slice_id][core])
-                bd["commit"] = bd.get("commit", 0) + self._commit_stall
-            return done + self._commit_stall, old
-        stats.far_amo_stores += 1
-        self._record(COMP_ACK, resp_hops)
-        ack = snoop_done + self._s2c_lat[slice_id][core]
-        stats.amo_latency_sum += ack - now
-        if bd is not None:
-            bd["noc_resp"] = (bd.get("noc_resp", 0)
-                              + self._s2c_lat[slice_id][core])
-        return ack, None
+            done = self._respond(AMO_DATA, exec_done, resp_lat, resp_hops)
+        else:
+            # A store is acknowledged once the snoops are done.
+            stats.far_amo_stores += 1
+            done = self._respond(COMP_ACK, snoop_done, resp_lat, resp_hops)
+            old = None
+        stats.amo_latency_sum += done - now
+        return done, old
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -952,9 +848,57 @@ class Machine:
         hn.busy_until = ordered + self._hn_occ
         return slice_id, hn, entry, ordered + self._dir_lat
 
-    def _snoop_rtt(self, slice_id: int, target: int) -> int:
-        """Round-trip cost of snooping ``target`` from ``slice_id``."""
-        return 2 * self._s2c_lat[slice_id][target] + self._l1_lat
+    def _leg(self, t: int, cycles: int, cat: str) -> int:
+        """A timed leg: ends ``cycles`` after ``t``, blamed on ``cat``."""
+        bd = self._bd
+        if bd is not None:
+            bd[cat] = bd.get(cat, 0) + cycles
+        return t + cycles
+
+    def _data(self, hn: HomeNode, block: int, t_dir: int,
+              buffer_hit: bool = False, fill: bool = False) -> int:
+        """Data leg at the home node: the AMO buffer (a far AMO's
+        ``buffer_hit``), the LLC, or DRAM (into the LLC if ``fill``)."""
+        if buffer_hit:
+            self.stats.amo_buffer_hits += 1
+            cat, ready = "amo_buf", t_dir + self._amo_buf_lat
+        elif hn.llc_lookup(block):
+            cat, ready = "llc", t_dir + self._llc_lat
+        else:
+            cat, ready = "dram", self._dram_read(block, t_dir)
+            if fill:
+                self._llc_fill(hn, block)
+        bd = self._bd
+        if bd is not None:
+            bd[cat] = bd.get(cat, 0) + (ready - t_dir)
+        return ready
+
+    def _respond(self, msg: MsgType, t: int, lat: int, hops: int) -> int:
+        """Response leg: ``msg`` leaves at ``t`` and arrives ``lat`` later."""
+        self._record(msg, hops)
+        bd = self._bd
+        if bd is not None:
+            bd["noc_resp"] = bd.get("noc_resp", 0) + lat
+        return t + lat
+
+    def _own(self, hn: HomeNode, entry: DirEntry, block: int,
+             prev_owner: Optional[int], core: int) -> None:
+        """Make ``core`` the block's only holder; the HN drops its copies."""
+        if self.bus.active:
+            self._emit_handoff(block, prev_owner, core)
+        entry.owner = core
+        entry.sharers.clear()
+        hn.llc_drop(block)
+        hn.amo_buffer.invalidate(block)
+
+    def _fill_l1(self, core: int, block: int, state: CacheState,
+                 fetched_by_amo: bool, now: int, t: int) -> int:
+        """Allocate the granted block; usable one L1 access after ``t``."""
+        departures = self.privates[core].insert_l1(block, state,
+                                                   fetched_by_amo)
+        if departures:
+            self._handle_departures(core, departures, now)
+        return self._leg(t, self._l1_lat, "l1")
 
     def _record_snoop_traffic(self, slice_id: int, target: int,
                               with_data: bool, block: int = -1) -> None:
@@ -1112,10 +1056,6 @@ class Machine:
         return done
 
     # --- event emission helpers (only called when the bus is active) --
-
-    def _emit_downgrade(self, owner: int, block: int) -> None:
-        bus = self.bus
-        bus.emit(Event(EventKind.DOWNGRADE, bus.now, owner, block))
 
     def _emit_handoff(self, block: int, prev_owner: Optional[int],
                       new_owner: Optional[int]) -> None:
