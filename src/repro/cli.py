@@ -65,6 +65,7 @@ from repro.harness.runner import Runner
 from repro.harness.tables import TABLES
 from repro.sim.config import DEFAULT_CONFIG, PAPER_CONFIG
 from repro.workloads import TABLE_III_CODES, WORKLOADS
+from repro.workloads.base import check_scale
 
 
 def _workload_code(raw: str) -> str:
@@ -91,6 +92,14 @@ def _positive_int(raw: str) -> int:
     return int(raw)
 
 
+def _scale(raw: str) -> float:
+    """A workload size factor: a positive, finite float."""
+    try:
+        return check_scale(float(raw))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _figure_name(raw: str) -> str:
     """Normalize figure names: "fig7", "figure7", "Fig 7" -> "7"."""
     name = raw.strip().lower()
@@ -114,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", default="all-near",
                      choices=sorted(POLICIES))
     run.add_argument("--threads", type=_positive_int, default=None)
-    run.add_argument("--scale", type=float, default=1.0)
+    run.add_argument("--scale", type=_scale, default=1.0)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--input", dest="input_name", default=None)
     run.add_argument("--paper-system", action="store_true",
@@ -149,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def _attrib_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--threads", type=_positive_int, default=None)
-        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--scale", type=_scale, default=1.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--input", dest="input_name", default=None)
         p.add_argument("--paper-system", action="store_true",
@@ -206,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "coherence model")
     lint.add_argument("--threads", type=_positive_int, default=8,
                       help="cores to dry-run each workload with")
-    lint.add_argument("--scale", type=float, default=1.0)
+    lint.add_argument("--scale", type=_scale, default=1.0)
     lint.add_argument("--seed", type=int, default=0)
     lint.add_argument("--format", dest="fmt", choices=("text", "json"),
                       default="text")
@@ -361,7 +370,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
                                               why_spec)
 
     spec = _attrib_spec(args, args.policy)
-    result = why_spec(spec)
+    result = why_spec(spec, args.top)
     if args.fmt == "json":
         print(json.dumps(why_payload(result, spec), sort_keys=True))
     else:
@@ -375,8 +384,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     spec_a = _attrib_spec(args, args.policy_a)
     spec_b = _attrib_spec(args, args.policy_b)
-    result_a, result_b = diff_specs(spec_a, spec_b)
-    payload = diff_payload(result_a, spec_a, result_b, spec_b)
+    result_a, result_b = diff_specs(spec_a, spec_b, args.top)
+    payload = diff_payload(result_a, spec_a, result_b, spec_b, args.top)
     if args.fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

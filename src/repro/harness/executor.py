@@ -280,9 +280,7 @@ class ResultStore:
 
     Layout: entries are spread over 256 shard directories keyed by the
     first two hex characters of the cache key, keeping per-directory
-    entry counts sane at service scale.  A flat pre-shard cache is
-    still honoured: a legacy ``<key>.json`` directly under the cache
-    root is read and promoted into its shard on first touch.
+    entry counts sane at service scale.
 
     The memo is an LRU bounded at ``memo_entries`` results (default
     ``$REPRO_MEMO_ENTRIES`` or 4096) and guarded by a lock, so a
@@ -320,10 +318,6 @@ class ResultStore:
     def path_for(self, spec: RunSpec) -> str:
         key = spec.cache_key()
         return os.path.join(self.shard_dir(key), key + ".json")
-
-    def legacy_path_for(self, spec: RunSpec) -> str:
-        """Pre-shard flat location (read-only back-compat)."""
-        return os.path.join(self.cache_dir, spec.cache_key() + ".json")
 
     # --- memo (LRU, thread-safe) --------------------------------------
 
@@ -365,25 +359,13 @@ class ResultStore:
             return memo
         path = self.path_for(spec)
         data = self._read_json(path)
-        migrated = False
-        if data is None:
-            data = self._read_json(self.legacy_path_for(spec))
-            migrated = data is not None
         if data is None:
             return None
         try:
             result = deserialize_result(data)
         except CacheSchemaError:
             return None  # written by a different revision: recompute
-        if migrated:
-            # Promote the legacy flat entry into its shard (and drop the
-            # old file) so one pass over a pre-shard cache migrates it.
-            self._write_entry(key, data)
-            try:
-                os.unlink(self.legacy_path_for(spec))
-            except OSError:
-                pass
-        elif self.byte_budget is not None:
+        if self.byte_budget is not None:
             try:  # refresh recency so LRU eviction spares hot entries
                 os.utime(path)
             except OSError:

@@ -30,6 +30,11 @@ committed digests, and is meant to be run exactly when a PR
 
 The grid itself is fingerprinted (``grid_sha256``) so the corpus cannot
 silently drift apart from the specs that produced it.
+
+It also records :data:`~repro.harness.executor.CACHE_VERSION`, which
+keys cached results: ``--update`` refuses to change a cell's
+``result_sha256`` under the same version, or stores would keep serving
+results the code no longer computes.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.executor import (Executor, ProcessCompute, ResultStore,
-                                    RunSpec, execute_spec, make_spec,
+from repro.harness.executor import (CACHE_VERSION, Executor,
+                                    ProcessCompute, ResultStore, RunSpec,
+                                    execute_spec, make_spec,
                                     serialize_result)
 from repro.sim.events import Event, Sink
 from repro.sim.results import SimulationResult
@@ -194,6 +200,7 @@ def save_digests(cells: Dict[str, Dict[str, object]],
     """Write the corpus atomically (sorted keys, stable diffs)."""
     data = {
         "schema": GOLDEN_SCHEMA,
+        "cache_version": CACHE_VERSION,
         "grid": {
             "threads": GOLDEN_THREADS,
             "scale": GOLDEN_SCALE,
@@ -221,6 +228,18 @@ def compare_cell(key: str, committed: Dict[str, object],
     return problems
 
 
+def stale_cells(committed: Dict,
+                fresh: Dict[str, Dict[str, object]]) -> List[str]:
+    """Cells whose ``result_sha256`` would change under the version the
+    corpus was committed with (their cached results would go stale)."""
+    if committed.get("cache_version") != CACHE_VERSION:
+        return []
+    old = committed.get("cells", {})
+    return [key for key in sorted(set(old) & set(fresh))
+            if old[key].get("result_sha256")
+            != fresh[key].get("result_sha256")]
+
+
 def golden_main(path: str = DEFAULT_DIGEST_PATH, update: bool = False,
                 jobs: int = 1) -> Tuple[int, str]:
     """Run the golden flow; returns ``(exit_code, report_text)``.
@@ -228,8 +247,9 @@ def golden_main(path: str = DEFAULT_DIGEST_PATH, update: bool = False,
     Check mode (default) recomputes every cell and fails on any
     difference from the committed corpus — including missing or extra
     cells and a changed grid fingerprint.  ``--update`` rewrites the
-    corpus and reports what changed; it never runs implicitly.  Check
-    mode also runs the grid through the grouped sweep path
+    corpus and reports what changed, unless :func:`stale_cells` names a
+    cell (then it exits 1 and writes nothing); it never runs implicitly.
+    Check mode also runs the grid through the grouped sweep path
     (:func:`grouped_problems`) against the committed corpus.
     """
     fresh = compute_digests(jobs=jobs)
@@ -241,6 +261,14 @@ def golden_main(path: str = DEFAULT_DIGEST_PATH, update: bool = False,
         committed = None
 
     if update:
+        stale = stale_cells(committed, fresh) if committed else []
+        if stale:
+            return 1, "\n".join(
+                [f"golden: refusing to update: {len(stale)} cell(s) change "
+                 f"result_sha256 under unchanged CACHE_VERSION "
+                 f"{CACHE_VERSION}; bump it in repro/harness/executor.py "
+                 f"so cached results are recomputed:"]
+                + ["  " + key for key in stale])
         lines = []
         if committed is not None:
             old_cells = committed.get("cells", {})

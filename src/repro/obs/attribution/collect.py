@@ -30,6 +30,10 @@ BLAME_SCHEMA = 1
 AUDIT_SCHEMA = 1
 
 
+#: Hottest cache lines a blame payload keeps by default.
+TOP_BLOCKS = 16
+
+
 class BlameSink(Sink):
     """Aggregates OP_RETIRE breakdowns, SYNC markers and line handoffs.
 
@@ -47,7 +51,7 @@ class BlameSink(Sink):
 
     wants_stamps = True
 
-    def __init__(self, top_blocks: int = 16) -> None:
+    def __init__(self, top_blocks: int = TOP_BLOCKS) -> None:
         self.top_blocks = top_blocks
         self.gate_totals: Dict[str, int] = {}
         self.hidden_totals: Dict[str, int] = {}

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from repro.harness.executor import RunSpec, execute_spec, spec_label
 from repro.obs.attribution.categories import PATH_ORDER, label_for
-from repro.obs.attribution.collect import AuditSink, BlameSink
+from repro.obs.attribution.collect import TOP_BLOCKS, AuditSink, BlameSink
 from repro.obs.histogram import (HistogramSink, histograms_from_metadata,
                                  sparkline)
 from repro.obs.timeseries import IntervalSink, deltas
@@ -50,10 +50,12 @@ _INTERVAL_ROWS = [
 ]
 
 
-def why_spec(spec: RunSpec) -> SimulationResult:
-    """Simulate ``spec`` with the explaining sinks attached."""
+def why_spec(spec: RunSpec, top: int = 8) -> SimulationResult:
+    """Simulate ``spec`` with the explaining sinks attached; the blame
+    keeps the ``top`` hottest lines, and at least :data:`TOP_BLOCKS`."""
     return execute_spec(spec, extra_sinks=(
-        BlameSink(), AuditSink(), HistogramSink(), IntervalSink()))
+        BlameSink(max(top, TOP_BLOCKS)), AuditSink(), HistogramSink(),
+        IntervalSink()))
 
 
 def _spec_fields(spec: RunSpec) -> Dict[str, object]:
@@ -79,11 +81,10 @@ def why_payload(result: SimulationResult,
     }
 
 
-def diff_specs(spec_a: RunSpec,
-               spec_b: RunSpec) -> Tuple[SimulationResult,
-                                         SimulationResult]:
+def diff_specs(spec_a: RunSpec, spec_b: RunSpec,
+               top: int = 8) -> Tuple[SimulationResult, SimulationResult]:
     """Run both sides of a ``repro diff`` (fresh, instrumented)."""
-    return why_spec(spec_a), why_spec(spec_b)
+    return why_spec(spec_a, top), why_spec(spec_b, top)
 
 
 def _path_blame(result: SimulationResult) -> Dict[str, int]:
@@ -92,9 +93,11 @@ def _path_blame(result: SimulationResult) -> Dict[str, int]:
 
 
 def diff_payload(result_a: SimulationResult, spec_a: RunSpec,
-                 result_b: SimulationResult,
-                 spec_b: RunSpec) -> Dict[str, object]:
+                 result_b: SimulationResult, spec_b: RunSpec,
+                 top: int = 8) -> Dict[str, object]:
     """The ``repro diff --format json`` document.
+
+    Each diverging-row list keeps its ``top`` largest deltas.
 
     The per-category delta compares the two critical-path blame vectors;
     since each vector sums to (approximately) its run's cycle count, the
@@ -125,7 +128,7 @@ def diff_payload(result_a: SimulationResult, spec_a: RunSpec,
                  "delta": side_a.get(addr, 0) - side_b.get(addr, 0)}
                 for addr in set(side_a) | set(side_b)]
         rows.sort(key=lambda r: -abs(r["delta"]))  # type: ignore[arg-type]
-        return rows[:8]
+        return rows[:top]
 
     def _diverging_blocks() -> List[Dict[str, object]]:
         tops: Dict[str, Dict[str, int]] = {}
@@ -137,7 +140,7 @@ def diff_payload(result_a: SimulationResult, spec_a: RunSpec,
                  "delta": cell["a"] - cell["b"]}
                 for block, cell in tops.items()]
         rows.sort(key=lambda r: -abs(r["delta"]))  # type: ignore[arg-type]
-        return rows[:8]
+        return rows[:top]
 
     return {
         "schema": WHY_SCHEMA,

@@ -10,7 +10,7 @@ is wrong:
    dependency-free validator ``repro why``/``repro diff`` pin their
    output with;
 2. **Semantics** — workload and policy names resolve against the
-   registries, scale is positive, config overrides name real
+   registries, scale is positive and finite, config overrides name real
    :class:`~repro.sim.config.SystemConfig` fields, and thread counts
    fit the resolved configuration (reusing :func:`make_spec`'s own
    check).
@@ -27,6 +27,7 @@ from repro.obs.attribution.schema import validate
 from repro.service.schemas import load_schema
 from repro.sim.config import DEFAULT_CONFIG, SystemConfig
 from repro.workloads import WORKLOADS
+from repro.workloads.base import check_scale
 
 #: The wire schema for POST /v1/batch bodies (checked in, shipped).
 BATCH_SCHEMA = load_schema("batch")
@@ -74,8 +75,10 @@ def _parse_cell(i: int, cell: Dict[str, Any],
                       f"(try `repro list`)")
         return None
     scale = cell.get("scale", 1.0)
-    if not scale > 0:
-        errors.append(f"{path}.scale: must be > 0, got {scale}")
+    try:
+        check_scale(scale)
+    except ValueError as exc:
+        errors.append(f"{path}.scale: {exc}")
         return None
     config = DEFAULT_CONFIG
     overrides = cell.get("config") or {}

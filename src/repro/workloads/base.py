@@ -13,6 +13,7 @@ drive quick tests and paper-scale runs.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -22,6 +23,14 @@ from repro.frontend.program import Program
 #: APKI class boundaries from the paper (Fig. 6): Low < 2, Medium < 8.
 LOW_APKI_BOUND = 2.0
 HIGH_APKI_BOUND = 8.0
+
+
+def check_scale(scale: float) -> float:
+    """``scale`` if it is a usable size factor, else ValueError."""
+    if not 0 < scale < math.inf:  # false for NaN too
+        raise ValueError(
+            f"scale must be positive and finite, got {scale!r}")
+    return scale
 
 
 def classify_apki(apki: float) -> str:
@@ -94,8 +103,7 @@ class Workload(ABC):
                  input_name: Optional[str] = None) -> None:
         if num_threads <= 0:
             raise ValueError("need at least one thread")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        check_scale(scale)
         self.num_threads = num_threads
         self.scale = scale
         self.seed = seed

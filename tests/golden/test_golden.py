@@ -14,11 +14,13 @@ import os
 
 import pytest
 
-from repro.harness.executor import execute_spec
+from repro.harness import golden
+from repro.harness.executor import CACHE_VERSION, execute_spec
 from repro.harness.golden import (DEFAULT_DIGEST_PATH, GOLDEN_SCHEMA,
                                   TraceDigestSink, cell_key, compute_digests,
-                                  digest_cell, golden_specs, grid_fingerprint,
-                                  grouped_problems, load_digests, make_spec)
+                                  digest_cell, golden_main, golden_specs,
+                                  grid_fingerprint, grouped_problems,
+                                  load_digests, make_spec, stale_cells)
 from repro.sim.events import TraceSink
 
 DIGEST_PATH = os.path.join(os.path.dirname(__file__), "digests.json")
@@ -102,3 +104,39 @@ def test_corpus_file_is_sorted_and_versioned(corpus):
     assert keys == sorted(keys)
     for field in ("threads", "scale", "seed", "policies", "grid_sha256"):
         assert field in raw["grid"]
+
+
+# --- cache soundness: digests and the cache key version move together ----
+
+
+def test_committed_cache_version_is_the_executors(corpus):
+    """The corpus records the version the result cache is keyed by."""
+    assert corpus["cache_version"] == CACHE_VERSION
+
+
+def test_stale_cells_are_changed_results_under_the_same_version():
+    committed = {"cache_version": CACHE_VERSION, "cells": {
+        "A/p": {"result_sha256": "a", "trace_sha256": "t"},
+        "B/p": {"result_sha256": "b", "trace_sha256": "t"}}}
+    fresh = {"A/p": {"result_sha256": "a", "trace_sha256": "moved"},
+             "B/p": {"result_sha256": "moved", "trace_sha256": "t"},
+             "C/p": {"result_sha256": "new", "trace_sha256": "t"}}
+    # A trace-only change or a new cell leaves cached results valid.
+    assert stale_cells(committed, fresh) == ["B/p"]
+    bumped = dict(committed, cache_version=CACHE_VERSION - 1)
+    assert stale_cells(bumped, fresh) == []
+
+
+def test_update_refuses_stale_cells_and_writes_nothing(tmp_path,
+                                                       monkeypatch):
+    path = tmp_path / "digests.json"
+    cells = {"A/p": {"result_sha256": "a"}, "B/p": {"result_sha256": "b"}}
+    golden.save_digests(cells, str(path))
+    before = path.read_text()
+    monkeypatch.setattr(golden, "compute_digests", lambda jobs=1: dict(
+        cells, **{"B/p": {"result_sha256": "moved"}}))
+    code, report = golden_main(str(path), update=True)
+    assert code == 1
+    assert "refusing to update" in report
+    assert report.splitlines()[1:] == ["  B/p"]
+    assert path.read_text() == before

@@ -205,24 +205,15 @@ def test_store_shards_by_key_prefix(tmp_path):
         os.path.join(str(tmp_path), key + ".json"))
 
 
-def test_store_reads_and_migrates_legacy_flat_entry(tmp_path):
-    """A pre-shard flat cache file is served and promoted to its shard."""
-    writer = ResultStore(str(tmp_path))
-    result = _tiny_result()
-    # Simulate a pre-shard cache: entry flat under the root.
-    with open(writer.legacy_path_for(SPEC), "w") as fh:
-        json.dump(serialize_result(result), fh)
-    reader = ResultStore(str(tmp_path))
-    loaded = reader.load(SPEC)
-    assert loaded is not None
-    assert serialize_result(loaded) == serialize_result(result)
-    assert os.path.isfile(reader.path_for(SPEC)), "entry promoted to shard"
-    assert not os.path.exists(reader.legacy_path_for(SPEC)), \
-        "legacy flat file removed after promotion"
-    # A second, fresh store now hits the sharded entry directly.
-    again = ResultStore(str(tmp_path)).load(SPEC)
-    assert again is not None
-    assert serialize_result(again) == serialize_result(result)
+def test_store_treats_a_flat_layout_entry_as_a_miss(tmp_path):
+    """Only the sharded layout is read: an entry flat under the cache
+    root (the pre-shard layout) is a miss, and is left alone."""
+    flat = tmp_path / (SPEC.cache_key() + ".json")
+    flat.write_text(json.dumps(serialize_result(_tiny_result())))
+    store = ResultStore(str(tmp_path))
+    assert store.load(SPEC) is None
+    assert not os.path.exists(store.path_for(SPEC))
+    assert flat.exists()
 
 
 def test_memo_is_a_bounded_lru(tmp_path):

@@ -7,6 +7,8 @@ deterministic stub compute from ``conftest``.
 import json
 import os
 
+import pytest
+
 from repro.obs.attribution.schema import validate
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -98,6 +100,19 @@ def test_semantic_validation_names_the_cell(service):
         "/v1/batch", {"cells": [dict(CELL, config={"warp": 9})]})
     assert status == 400
     assert any("$.cells[0].config" in e for e in body["errors"])
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "1e999", "-1e999", "NaN"])
+def test_scale_must_be_positive_and_finite(service, scale):
+    """The CLI's size-factor check, as a 400 naming the cell (an
+    infinite scale once passed validation and failed in the worker)."""
+    _server, client = service
+    raw = json.dumps({"cells": [CELL]}).replace('"scale": 0.5',
+                                                f'"scale": {scale}')
+    status, body = client.post_raw("/v1/batch", raw.encode())
+    assert status == 400
+    assert any(e.startswith("$.cells[0].scale: scale must be positive "
+                            "and finite") for e in body["errors"])
 
 
 def test_workload_names_resolve_like_the_cli(service):

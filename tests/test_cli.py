@@ -80,6 +80,40 @@ def test_worker_counts_must_be_positive(capsys, argv, count):
     assert f"must be a positive integer, got '{count}'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "COUNTER"],
+    ["why", "WAT", "all-near"],
+    ["diff", "WAT", "all-near", "present-near"],
+    ["lint", "WAT"],
+], ids=["run", "why", "diff", "lint"])
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "1e999"])
+def test_scales_must_be_positive_and_finite(capsys, argv, scale):
+    """A size factor no workload can use is a usage error as well."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scale", scale])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "scale must be positive and finite" in err
+
+
+@pytest.mark.parametrize("argv,section", [
+    (["why", "HIST", "dynamo-reuse-pn"], "-- hottest cache lines"),
+    (["diff", "HIST", "all-near", "dynamo-reuse-pn"],
+     "-- top diverging cache lines"),
+], ids=["why", "diff"])
+def test_top_shows_that_many_rows(capsys, argv, section):
+    """``--top 20`` prints 20 rows on a cell with more than 20 lines
+    (the blame once kept 16 lines and the diff 8 rows whatever it was
+    asked for)."""
+    assert main(argv + ["--threads", "4", "--scale", "0.15",
+                        "--top", "20"]) == 0
+    table = capsys.readouterr().out.split(section)[1].split("\n\n")[0]
+    rows = table.splitlines()[2:]  # past the title tail and the header
+    assert len(rows) == 20
+    assert all(row.split()[0].startswith("0x") for row in rows)
+
+
 # --- observability commands -------------------------------------------
 
 
