@@ -7,10 +7,10 @@ store:
 
 * :mod:`repro.service.api` — request validation (checked-in JSON
   schema + semantic checks) and spec parsing;
-* :mod:`repro.service.cache` — single-flight deduplicating front over
-  :class:`~repro.harness.executor.ResultStore` with hit/miss counters;
-* :mod:`repro.service.scheduler` — bounded worker pool, job/cell
-  lifecycle tracking, service latency histogram;
+* :mod:`repro.service.scheduler` — the single-flight table over
+  :class:`~repro.harness.executor.ResultStore` (one flight per missing
+  key, hit/miss counters), the bounded worker pool, job/cell lifecycle
+  tracking and the service latency histogram;
 * :mod:`repro.service.app` — the HTTP server and routes
   (``POST /v1/batch``, ``GET /v1/batch/<id>``,
   ``GET /v1/batch/<id>/events``, ``GET /v1/healthz``,
@@ -21,10 +21,9 @@ store:
 
 from repro.service.api import BatchValidationError, parse_batch
 from repro.service.app import ReproServer, make_server, serve
-from repro.service.cache import SingleFlightCache
 from repro.service.scheduler import Scheduler
 
 __all__ = [
     "BatchValidationError", "parse_batch", "ReproServer", "make_server",
-    "serve", "SingleFlightCache", "Scheduler",
+    "serve", "Scheduler",
 ]

@@ -262,7 +262,7 @@ def serve_forever(host: str, port: int, workers: int,
     sched = server.scheduler
     print(f"repro serve: listening on http://{host}:{server.port} "
           f"({workers} workers, cache at "
-          f"{sched.cache.store.cache_dir})")
+          f"{sched.store.cache_dir})")
     print("  POST /v1/batch   GET /v1/batch/<id>[?wait=s]   "
           "GET /v1/healthz   GET /v1/stats")
     previous = signal.signal(signal.SIGTERM, _interrupt)

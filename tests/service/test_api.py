@@ -166,11 +166,18 @@ def test_worker_exception_is_a_cell_error_not_a_500(make_service):
     stats = server.scheduler.stats()
     assert stats["cells"]["errors"] == 1
     assert stats["cache"]["errors"] == 1
+    cache = stats["cache"]
+    assert cache["hits"] + cache["computed"] + cache["joined"] \
+        + cache["errors"] == stats["cells"]["completed"] == 2
 
     # Errors are not cached: a retry recomputes (and fails again).
     retry = client.run_batch([OTHER])
     assert retry["cells"][0]["status"] == "error"
     assert server.scheduler.stats()["cells"]["errors"] == 2
+    stats = server.scheduler.stats()
+    cache = stats["cache"]
+    assert cache["hits"] + cache["computed"] + cache["joined"] \
+        + cache["errors"] == stats["cells"]["completed"] == 3
 
 
 def test_results_can_be_stripped_for_cheap_polling(service):
@@ -223,11 +230,12 @@ def test_stats_matches_the_checked_in_schema(service):
 
 
 def test_stats_accounting_identity(service):
-    """hits + computed + joined == completed cells, always."""
+    """hits + computed + joined + errors == completed cells when idle."""
     server, client = service
     client.run_batch([CELL, OTHER, CELL, OTHER, CELL])
     stats = server.scheduler.stats()
     cache = stats["cache"]
-    assert cache["hits"] + cache["computed"] + cache["joined"] == \
-        stats["cells"]["completed"]
+    assert cache["errors"] == 0
+    assert cache["hits"] + cache["computed"] + cache["joined"] \
+        + cache["errors"] == stats["cells"]["completed"]
     assert cache["misses"] == cache["computed"] + cache["joined"]

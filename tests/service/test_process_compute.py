@@ -106,8 +106,11 @@ def test_worker_dying_twice_is_a_cell_error_never_cached(make_service):
     assert stats["cells"]["errors"] == 2
     assert stats["cache"]["errors"] == 1
     assert stats["cache"]["computed"] == 0
+    cache = stats["cache"]
+    assert cache["hits"] + cache["computed"] + cache["joined"] \
+        + cache["errors"] == stats["cells"]["completed"] == 2
     spec = parse_batch({"cells": [DOOMED]})[0]
-    assert server.scheduler.cache.store.load(spec) is None
+    assert server.scheduler.store.load(spec) is None
 
     later = client.run_batch([CELL])
     assert later["cells"][0]["status"] == "done"
