@@ -3,11 +3,10 @@
 from conftest import run_once
 
 from repro.harness.figures import figure1
-from repro.sim.config import DEFAULT_CONFIG
 
 
-def test_fig01_shared_counter_throughput(benchmark):
-    data = run_once(benchmark, figure1, DEFAULT_CONFIG)
+def test_fig01_shared_counter_throughput(benchmark, runner):
+    data = run_once(benchmark, figure1, runner)
     print("\n" + data.render())
 
     near = data.series["Atomic-Near"]

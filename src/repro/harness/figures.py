@@ -22,11 +22,8 @@ from repro.energy.model import energy_breakdown
 from repro.harness.report import (apki_classes, format_series, format_table,
                                   set_geomeans)
 from repro.harness.runner import Runner, speedups_vs_baseline
-from repro.sim.config import DEFAULT_CONFIG, SystemConfig
-from repro.sim.engine import run as engine_run
-from repro.sim.machine import Machine
-from repro.workloads import TABLE_III_CODES
-from repro.workloads.microbench import SharedCounter
+from repro.sim.config import SystemConfig
+from repro.workloads import TABLE_III_CODES, make_workload
 
 BASELINE = "all-near"
 DYNAMO_POLICIES = ["dynamo-metric", "dynamo-reuse-un", "dynamo-reuse-pn"]
@@ -85,37 +82,35 @@ class SpeedupGrid:
         return out
 
 
-def _counter_run(config: SystemConfig, threads: int, policy: str,
-                 use_store: bool) -> float:
-    """One Fig. 1 cell: shared-counter update throughput (per kilocycle)."""
-    wl = SharedCounter(threads, use_store=use_store)
-    machine = Machine(config, policy)
-    result = engine_run(machine, wl.programs())
-    return result.throughput_per_kilocycle(wl.total_updates)
+#: Fig. 1's series: (label, policy, AMOCOST input).  AMOCOST's ``-w1``
+#: inputs are the shared-counter loop (every thread on one word).
+FIG1_SERIES = (
+    # Near execution costs the same for load- and store-type AMOs (an
+    # L1 hit either way); the store-type loop is used so the near and
+    # far-store series differ only in placement.
+    ("Atomic-Near", "all-near", "stadd-w1"),
+    ("AtomicLoad-Far", "unique-near", "ldadd-w1"),
+    ("AtomicStore-Far", "unique-near", "stadd-w1"),
+)
 
 
-def figure1(config: SystemConfig = DEFAULT_CONFIG,
+def figure1(runner: Optional[Runner] = None,
             threads: Sequence[int] = FIG1_THREADS) -> FigureData:
     """Fig. 1: near vs far AMO throughput on one shared counter.
 
     Three mechanisms: Atomic-Near (stadd, All Near), AtomicLoad-Far
     (ldadd, Unique Near) and AtomicStore-Far (stadd, Unique Near).
     """
-    threads = [t for t in threads if t <= config.num_cores]
+    runner = runner or Runner()
+    threads = [t for t in threads if t <= runner.config.num_cores]
+    specs = [runner.make_spec("AMOCOST", policy, threads=t, input_name=inp)
+             for _, policy, inp in FIG1_SERIES for t in threads]
+    results = iter(runner.run_specs(specs))
     series = {
-        # Near execution costs the same for load- and store-type AMOs (an
-        # L1 hit either way); the store-type loop is used so the near and
-        # far-store series differ only in placement.
-        "Atomic-Near": [
-            _counter_run(config, t, "all-near", use_store=True)
-            for t in threads],
-        "AtomicLoad-Far": [
-            _counter_run(config, t, "unique-near", use_store=False)
-            for t in threads],
-        "AtomicStore-Far": [
-            _counter_run(config, t, "unique-near", use_store=True)
-            for t in threads],
-    }
+        label: [next(results).throughput_per_kilocycle(
+                    make_workload("AMOCOST", t, input_name=inp).total_updates)
+                for t in threads]
+        for label, _, inp in FIG1_SERIES}
     return FigureData(
         name="Figure 1: shared-counter AMO throughput",
         xlabel="threads", xs=list(threads), series=series,
@@ -442,7 +437,6 @@ def txn_study(runner: Optional[Runner] = None,
     runner = runner or Runner()
     from repro.harness.executor import execute_spec, make_spec
     from repro.obs.histogram import HistogramSink, histograms_from_metadata
-    from repro.workloads import make_workload
     from repro.workloads.txn import alpha_from_input
 
     xs = [alpha_from_input(inp) for inp in inputs]

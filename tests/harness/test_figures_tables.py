@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness import figures, tables
+from repro.harness.runner import Runner
 from repro.sim.config import DEFAULT_CONFIG
 
 
@@ -39,8 +40,9 @@ class TestTables:
 
 
 class TestFigure1:
-    def test_shapes(self):
-        data = figures.figure1(DEFAULT_CONFIG.scaled(8), threads=(1, 4, 8))
+    def test_shapes(self, tmp_path):
+        runner = Runner(DEFAULT_CONFIG.scaled(8), cache_dir=str(tmp_path))
+        data = figures.figure1(runner, threads=(1, 4, 8))
         near = data.series["Atomic-Near"]
         far_store = data.series["AtomicStore-Far"]
         far_load = data.series["AtomicLoad-Far"]
@@ -53,13 +55,14 @@ class TestFigure1:
         # Near throughput degrades with contention.
         assert near[0] > near[-1]
 
-    def test_thread_counts_clamped_to_config(self):
-        data = figures.figure1(DEFAULT_CONFIG.scaled(4),
-                               threads=(1, 2, 64))
+    def test_thread_counts_clamped_to_config(self, tmp_path):
+        runner = Runner(DEFAULT_CONFIG.scaled(4), cache_dir=str(tmp_path))
+        data = figures.figure1(runner, threads=(1, 2, 64))
         assert data.xs == [1, 2]
 
-    def test_render(self):
-        data = figures.figure1(DEFAULT_CONFIG.scaled(4), threads=(1, 2))
+    def test_render(self, tmp_path):
+        runner = Runner(DEFAULT_CONFIG.scaled(4), cache_dir=str(tmp_path))
+        data = figures.figure1(runner, threads=(1, 2))
         text = data.render()
         assert "Figure 1" in text
         assert "Atomic-Near" in text
