@@ -11,7 +11,9 @@ The harness splits an experiment into three concerns:
   the spec's cache key, with crash-safe writes (unique temp file +
   atomic rename, safe against concurrent sweeps sharing one cache
   directory) and an in-process memo so a sweep never deserializes the
-  same JSON twice.  The store is service-grade: entries live in 256
+  same JSON twice; the memo keeps each result's wire form beside it, so
+  a served hit never serializes either.  A spec hashes its cache key
+  once.  The store is service-grade: entries live in 256
   key-prefix shard directories (a flat pre-shard cache is still read
   and migrated on first touch), the memo is a bounded LRU so a
   long-lived server cannot leak memory across millions of distinct
@@ -53,8 +55,8 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import Connection
-from typing import (IO, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (IO, Callable, Dict, Iterable, Iterator, List, Literal,
+                    Optional, Sequence, Tuple, Union, overload)
 
 from repro.energy.model import EnergySink
 from repro.noc.message import MsgType, TrafficMeter
@@ -149,6 +151,8 @@ class RunSpec:
     def with_config(self, config: SystemConfig,
                     base: SystemConfig = DEFAULT_CONFIG) -> "RunSpec":
         """Record how ``config`` differs from ``base`` (for cache keys)."""
+        if config is base and not self.config_overrides:
+            return self  # nothing to record: skip the field walk
         overrides = []
         for field in dataclasses.fields(SystemConfig):
             val = getattr(config, field.name)
@@ -169,12 +173,22 @@ class RunSpec:
         return base.replace(**dict(self.config_overrides))
 
     def cache_key(self) -> str:
-        payload = json.dumps(
-            [CACHE_VERSION, self.workload, self.policy, self.threads,
-             self.scale, self.seed, self.input_name,
-             list(self.config_overrides)],
-            sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:24]
+        """The spec's store key, hashed on first use and then kept.
+
+        The key lives in the instance ``__dict__``, outside the dataclass
+        fields, so it takes no part in eq, hash, repr or ``asdict``, and
+        ``dataclasses.replace`` starts the new spec without it.
+        """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            payload = json.dumps(
+                [CACHE_VERSION, self.workload, self.policy, self.threads,
+                 self.scale, self.seed, self.input_name,
+                 list(self.config_overrides)],
+                sort_keys=True)
+            key = hashlib.sha256(payload.encode()).hexdigest()[:24]
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
 
 def make_spec(workload: str, policy: str, threads: Optional[int] = None,
@@ -266,6 +280,10 @@ def deserialize_result(data: Dict) -> SimulationResult:
 
 # --- the result store -----------------------------------------------------
 
+#: One memo entry: a result and its wire form.
+_Entry = Tuple[SimulationResult, Dict]
+
+
 class ResultStore:
     """Sharded on-disk result cache with a bounded in-process memo.
 
@@ -285,7 +303,12 @@ class ResultStore:
     The memo is an LRU bounded at ``memo_entries`` results (default
     ``$REPRO_MEMO_ENTRIES`` or 4096) and guarded by a lock, so a
     long-lived multi-threaded server can serve concurrent readers
-    without leaking memory across millions of distinct specs.  When a
+    without leaking memory across millions of distinct specs.  Each
+    entry keeps the result's wire form (its :func:`serialize_result`
+    dict) beside it, built once when the result is stored or kept from
+    the parsed file on a disk read, so ``load(spec, wire=True)`` answers
+    a hit with no serialization.  Wire forms are shared by every caller
+    and must not be mutated.  When a
     byte budget is set (``byte_budget`` or ``$REPRO_CACHE_BYTES``),
     every write evicts least-recently-used entries (by mtime; disk
     hits re-touch their file) until the cache fits the budget.
@@ -304,7 +327,7 @@ class ResultStore:
                 f"memo_entries must be >= 1, got {self.memo_entries}")
         self.byte_budget = (byte_budget if byte_budget is not None
                             else default_byte_budget())
-        self._memo: "OrderedDict[str, SimulationResult]" = OrderedDict()
+        self._memo: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         if self.enabled:
             os.makedirs(self.cache_dir, exist_ok=True)
@@ -321,16 +344,16 @@ class ResultStore:
 
     # --- memo (LRU, thread-safe) --------------------------------------
 
-    def _memo_get(self, key: str) -> Optional[SimulationResult]:
+    def _memo_get(self, key: str) -> Optional[_Entry]:
         with self._lock:
-            result = self._memo.get(key)
-            if result is not None:
+            entry = self._memo.get(key)
+            if entry is not None:
                 self._memo.move_to_end(key)
-            return result
+            return entry
 
-    def _memo_put(self, key: str, result: SimulationResult) -> None:
+    def _memo_put(self, key: str, entry: _Entry) -> None:
         with self._lock:
-            self._memo[key] = result
+            self._memo[key] = entry
             self._memo.move_to_end(key)
             while len(self._memo) > self.memo_entries:
                 self._memo.popitem(last=False)
@@ -349,29 +372,40 @@ class ResultStore:
             return None
         return data if isinstance(data, dict) else None
 
-    def load(self, spec: RunSpec) -> Optional[SimulationResult]:
-        """Cached result for ``spec``, or None on a miss."""
+    @overload
+    def load(self, spec: RunSpec,
+             wire: Literal[False] = False) -> Optional[SimulationResult]: ...
+
+    @overload
+    def load(self, spec: RunSpec, wire: Literal[True]) -> Optional[Dict]: ...
+
+    def load(self, spec: RunSpec, wire: bool = False
+             ) -> Optional[Union[SimulationResult, Dict]]:
+        """Cached result for ``spec``, or None on a miss.
+
+        With ``wire`` set, the result's shared wire form (its
+        :func:`serialize_result` dict) instead of the result.
+        """
         if not self.enabled:
             return None
         key = spec.cache_key()
-        memo = self._memo_get(key)
-        if memo is not None:
-            return memo
-        path = self.path_for(spec)
-        data = self._read_json(path)
-        if data is None:
-            return None
-        try:
-            result = deserialize_result(data)
-        except CacheSchemaError:
-            return None  # written by a different revision: recompute
-        if self.byte_budget is not None:
-            try:  # refresh recency so LRU eviction spares hot entries
-                os.utime(path)
-            except OSError:
-                pass
-        self._memo_put(key, result)
-        return result
+        entry = self._memo_get(key)
+        if entry is None:
+            path = self.path_for(spec)
+            data = self._read_json(path)
+            if data is None:
+                return None
+            try:
+                entry = (deserialize_result(data), data)
+            except CacheSchemaError:
+                return None  # written by a different revision: recompute
+            if self.byte_budget is not None:
+                try:  # refresh recency so LRU eviction spares hot entries
+                    os.utime(path)
+                except OSError:
+                    pass
+            self._memo_put(key, entry)
+        return entry[1] if wire else entry[0]
 
     # --- write --------------------------------------------------------
 
@@ -392,13 +426,18 @@ class ResultStore:
                 pass
             raise
 
-    def store(self, spec: RunSpec, result: SimulationResult) -> None:
-        """Persist ``result`` for ``spec`` (memo always, disk if enabled)."""
-        key = spec.cache_key()
-        self._memo_put(key, result)
+    def store(self, spec: RunSpec, result: SimulationResult,
+              wire: Optional[Dict] = None) -> None:
+        """Persist ``result`` for ``spec`` in the memo and on disk; a
+        disabled store keeps nothing.  ``wire`` is the result's
+        :func:`serialize_result` dict when the caller already has it."""
         if not self.enabled:
             return
-        self._write_entry(key, serialize_result(result))
+        key = spec.cache_key()
+        if wire is None:
+            wire = serialize_result(result)
+        self._memo_put(key, (result, wire))
+        self._write_entry(key, wire)
         if self.byte_budget is not None:
             self.evict_to_budget(protect=key)
 

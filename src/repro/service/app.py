@@ -31,7 +31,7 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.harness.executor import ResultStore
@@ -72,30 +72,67 @@ class ReproServer(ThreadingHTTPServer):
         self.server_close()
 
 
+class _ResponseWriter:
+    """``wfile`` that holds what is written until :meth:`flush`, then
+    hands it to the socket in one ``sendall``.
+
+    The held bytes are dropped before the send, so after a client went
+    away the failed flush is not retried by the server's own flushes at
+    the end of the request and of the connection.
+    """
+
+    closed = False
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._parts: List[bytes] = []
+
+    def write(self, data: bytes) -> int:
+        self._parts.append(data)
+        return len(data)
+
+    def flush(self) -> None:
+        data, self._parts = b"".join(self._parts), []
+        if data:
+            self._sock.sendall(data)
+
+    def close(self) -> None:
+        self._parts = []
+        self.closed = True
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: ReproServer  # narrowed for the route helpers
 
     # Keep-alive lets one client poll a job over one connection.
     protocol_version = "HTTP/1.1"
 
-    # TCP_NODELAY: headers and body go out in separate sends, and with
-    # Nagle on the body would wait for the client's delayed ACK (~44 ms
-    # per response on Linux, 88 ms per POST+GET round trip).
+    # TCP_NODELAY: a JSON response leaves in one send, so Nagle has
+    # nothing to hold back there; but the event stream sends its headers
+    # and then one line per settled cell, and with Nagle on each later
+    # small send would wait for the client's delayed ACK (~40 ms on
+    # Linux).
     disable_nagle_algorithm = True
 
     # --- plumbing -----------------------------------------------------
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _ResponseWriter(self.connection)
 
     def log_message(self, fmt: str, *args: object) -> None:
         if not self.server.quiet:  # pragma: no cover - log formatting
             super().log_message(fmt, *args)
 
     def _send_json(self, status: int, payload: Dict) -> None:
+        """Answer with ``payload``: headers and body in one send."""
         body = json.dumps(payload, sort_keys=True).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _error(self, status: int, message: str,
                errors: Optional[list] = None) -> None:
@@ -210,6 +247,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Connection", "close")
         self.end_headers()
+        self.wfile.flush()
         self.close_connection = True
         for cell in job.iter_completions(timeout=MAX_WAIT_S):
             line = json.dumps(cell.snapshot(include_results=False),
@@ -220,6 +258,7 @@ class _Handler(BaseHTTPRequestHandler):
         del summary["cells"]
         self.wfile.write(json.dumps(summary, sort_keys=True).encode()
                          + b"\n")
+        self.wfile.flush()
 
 
 def make_server(host: str = "127.0.0.1", port: int = 0,

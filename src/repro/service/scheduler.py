@@ -1,11 +1,13 @@
 """Job scheduling: one single-flight table over the result store.
 
-``submit`` answers cache hits synchronously (no worker involved) and
-fans misses out over a ``ThreadPoolExecutor`` of flight threads.  By
-default each flight thread simulates its miss in a worker *process* of
-the harness's :class:`~repro.harness.executor.ProcessCompute` (the same
-pool that parallel sweeps use) and only waits here, so simulations
-never hold the GIL that cache hits and the HTTP front end need.
+``submit`` answers cache hits synchronously (no worker involved) with
+the wire form the store keeps beside each result, so a hit serializes
+nothing, and fans misses out over a ``ThreadPoolExecutor`` of flight
+threads.  By default each flight thread simulates its miss in a worker
+*process* of the harness's
+:class:`~repro.harness.executor.ProcessCompute` (the same pool that
+parallel sweeps use) and only waits here, so simulations never hold
+the GIL that cache hits and the HTTP front end need.
 
 Every key has one owner while it is missing: the pending table.  A
 later cell for a key that is already in flight (same job or another
@@ -14,8 +16,9 @@ small pool can never fill up with duplicates waiting on a leader queued
 behind them.  The flight thread re-checks the store before computing
 (a result may have been stored after ``submit`` missed), computes and
 stores on a real miss, and counts the outcome before it finishes the
-flight's cells.  A failed flight stores nothing, so a later request
-retries it.
+flight's cells.  A miss serializes its result once: the store and the
+flight's cells share that wire form.  A failed flight stores nothing, so
+a later request retries it.
 
 Counters (``GET /v1/stats`` ``cache``): ``hits`` — cells answered from
 the store; ``computed`` — simulations run (one per flight that
@@ -66,7 +69,7 @@ class Cell:
         self.spec = spec
         self.status = QUEUED
         self.source: Optional[str] = None
-        self.result: Optional[Dict] = None  # serialized, wire-ready
+        self.result: Optional[Dict] = None  # shared wire form: read only
         self.error: Optional[str] = None
         self.wall_ms: Optional[float] = None
         self._t0 = time.monotonic()
@@ -224,12 +227,11 @@ class Scheduler:
             self._cells_submitted += len(cells)
         to_launch: List[_Pending] = []
         for cell in cells:
-            cached = self.store.load(cell.spec)
-            if cached is not None:
+            wire = self.store.load(cell.spec, wire=True)
+            if wire is not None:
                 with self._lock:
                     self._hits += 1
-                self._finish_cell(job, cell, DONE, "cache",
-                                  serialize_result(cached))
+                self._finish_cell(job, cell, DONE, "cache", wire)
                 continue
             key = cell.spec.cache_key()
             with self._lock:
@@ -259,12 +261,12 @@ class Scheduler:
         try:
             # A result stored after submit's miss (e.g. by an earlier
             # flight for this key) is a hit, not a recompute.
-            result = self.store.load(spec)
-            if result is None:
+            wire = self.store.load(spec, wire=True)
+            if wire is None:
                 result = self.compute(spec)
-                self.store.store(spec, result)
+                wire = serialize_result(result)
+                self.store.store(spec, result, wire)
                 source = "computed"
-            wire = serialize_result(result)
         except BaseException as exc:
             # Any raise is a per-cell error: the pool's future would
             # swallow it and strand the cells parked on this key.

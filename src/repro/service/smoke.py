@@ -9,11 +9,13 @@ an ephemeral port, then:
    digest corpus is present — verifies the served result is
    bit-identical to ``tests/golden/digests.json``;
 3. re-posts the same batch and requires it to be answered from the
-   cache (hit ratio > 0 afterwards);
+   cache, bit-identical to the golden digest (to the first answer when
+   the corpus is absent), with hit ratio > 0 afterwards;
 4. validates the ``GET /v1/stats`` document against the checked-in
    schema (``tests/schemas/serve.schema.json``) with the same
    dependency-free validator the other CI schema jobs use;
-5. shuts the server down cleanly.
+5. shuts the server down cleanly, boots a second server on the same
+   cache directory and requires it to serve the same bytes from disk.
 
 Exit 0 on success, 1 with a reason otherwise.
 """
@@ -21,13 +23,14 @@ Exit 0 on success, 1 with a reason otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 import tempfile
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.harness.executor import ResultStore
 from repro.harness.golden import DEFAULT_DIGEST_PATH, load_digests
@@ -68,38 +71,73 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as cache_dir:
-        server = make_server(port=0, workers=2,
-                             store=ResultStore(cache_dir))
-        serve(server)
-        base = f"http://127.0.0.1:{server.port}"
-        try:
-            return _smoke(base, args)
-        finally:
-            server.close()
+        with _server(cache_dir) as base:
+            served = _smoke(base, args)
+        if served is None:
+            return 1
+        with _server(cache_dir) as base:
+            cell = _round_trip(base, "restart")
+        if cell is None:
+            return 1
+        if cell["source"] != "cache" or _sha(cell["result"]) != served:
+            print(f"smoke: a server restarted on the same cache dir did "
+                  f"not serve the same bytes from disk: "
+                  f"source={cell['source']}")
+            return 1
+        print("smoke: restarted server served the same bytes from disk")
+    print("service-smoke: ok")
+    return 0
 
 
-def _smoke(base: str, args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _server(cache_dir: str) -> Iterator[str]:
+    """A server on ``cache_dir`` for the block; yields its base URL."""
+    server = make_server(port=0, workers=2, store=ResultStore(cache_dir))
+    serve(server)
+    try:
+        yield f"http://127.0.0.1:{server.port}"
+    finally:
+        server.close()
+
+
+def _sha(result: Dict) -> str:
+    """The served result's digest, as ``repro golden`` computes it."""
+    return hashlib.sha256(
+        json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+
+def _round_trip(base: str, what: str) -> Optional[Dict]:
+    """POST the smoke batch and wait for it: its one cell, or None."""
+    status, posted = _request(base, "/v1/batch", {"cells": [SMOKE_CELL]})
+    if status != 202:
+        print(f"smoke: {what} POST /v1/batch failed: {status} {posted}")
+        return None
+    status, job = _request(base, f"/v1/batch/{posted['job']}?wait=90")
+    if status != 200 or not job.get("done"):
+        print(f"smoke: {what} job did not finish: {status} {job}")
+        return None
+    cell = job["cells"][0]
+    if cell["status"] != "done":
+        print(f"smoke: {what} cell failed: {cell}")
+        return None
+    return cell
+
+
+def _smoke(base: str, args: argparse.Namespace) -> Optional[str]:
+    """Steps 1-4 on a fresh server: the served result's digest, or
+    None after printing why a step failed."""
     status, health = _request(base, "/v1/healthz")
     if status != 200 or health.get("status") != "ok":
         print(f"smoke: healthz failed: {status} {health}")
-        return 1
+        return None
     print(f"smoke: healthz ok (uptime {health['uptime_s']}s)")
 
-    batch = {"cells": [SMOKE_CELL]}
-    status, posted = _request(base, "/v1/batch", batch)
-    if status != 202:
-        print(f"smoke: POST /v1/batch failed: {status} {posted}")
-        return 1
-    status, job = _request(base, f"/v1/batch/{posted['job']}?wait=90")
-    if status != 200 or not job.get("done"):
-        print(f"smoke: job did not finish: {status} {job}")
-        return 1
-    cell = job["cells"][0]
-    if cell["status"] != "done":
-        print(f"smoke: cell failed: {cell}")
-        return 1
+    cell = _round_trip(base, "first")
+    if cell is None:
+        return None
     print(f"smoke: batch round-trip ok "
           f"(source={cell['source']}, {cell['wall_ms']:.0f} ms)")
+    served = _sha(cell["result"])
 
     try:
         corpus = load_digests(args.digests)
@@ -110,44 +148,48 @@ def _smoke(base: str, args: argparse.Namespace) -> int:
     if corpus is not None:
         key = f"{SMOKE_CELL['workload']}/{SMOKE_CELL['policy']}"
         want = corpus["cells"][key]["result_sha256"]
-        got = hashlib.sha256(
-            json.dumps(cell["result"], sort_keys=True).encode()
-        ).hexdigest()
-        if got != want:
+        if served != want:
             print(f"smoke: served result drifted from golden digest "
-                  f"{key}: {got} != {want}")
-            return 1
+                  f"{key}: {served} != {want}")
+            return None
         print(f"smoke: served result bit-identical to golden {key}")
 
-    status, again = _request(base, "/v1/batch", batch)
-    status, job2 = _request(base, f"/v1/batch/{again['job']}?wait=90")
-    source = job2["cells"][0].get("source")
-    if source != "cache":
-        print(f"smoke: repeat batch not served from cache: {source}")
-        return 1
+    # The repeat is a memo hit; it must carry the same bytes, which the
+    # check above pinned to the golden digest.
+    again = _round_trip(base, "repeat")
+    if again is None:
+        return None
+    if again["source"] != "cache":
+        print(f"smoke: repeat batch not served from cache: "
+              f"{again['source']}")
+        return None
+    if _sha(again["result"]) != served:
+        print(f"smoke: repeat batch served other bytes: "
+              f"{_sha(again['result'])} != {served}")
+        return None
+    print("smoke: repeat batch served bit-identical from the cache")
 
     status, stats = _request(base, "/v1/stats")
     if status != 200:
         print(f"smoke: stats failed: {status}")
-        return 1
+        return None
     if not stats["cache"]["hit_ratio"] > 0:
         print(f"smoke: expected hit ratio > 0, got {stats['cache']}")
-        return 1
+        return None
     try:
         with open(args.schema) as fh:
             schema = json.load(fh)
     except OSError as exc:
         print(f"smoke: cannot read schema: {exc}")
-        return 1
+        return None
     errors = validate(stats, schema)
     if errors:
         for error in errors:
             print(f"smoke: stats schema: {error}")
-        return 1
+        return None
     print(f"smoke: stats ok (hit ratio "
           f"{stats['cache']['hit_ratio']:.2f}, schema valid)")
-    print("service-smoke: ok")
-    return 0
+    return served
 
 
 if __name__ == "__main__":  # pragma: no cover - CI entry point

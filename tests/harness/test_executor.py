@@ -6,10 +6,12 @@ as a miss (never as a half-populated result), and a parallel sweep must
 produce byte-identical cache files to a serial one.
 """
 
+import dataclasses
 import functools
 import json
 import multiprocessing
 import os
+import pickle
 import time
 
 import pytest
@@ -187,6 +189,23 @@ def test_store_round_trip_and_memo(tmp_path):
     assert serialize_result(first) == serialize_result(result)
 
 
+def test_memo_keeps_the_wire_form_beside_the_result(tmp_path):
+    """The wire form is built once when stored, kept from the parsed
+    file on a disk read, and served as the same dict on every hit."""
+    store = ResultStore(str(tmp_path))
+    result = _tiny_result()
+    store.store(SPEC, result)
+    wire = store.load(SPEC, wire=True)
+    assert wire == serialize_result(result)
+    assert store.load(SPEC, wire=True) is wire
+    fresh = ResultStore(str(tmp_path))
+    parsed = fresh.load(SPEC, wire=True)
+    with open(fresh.path_for(SPEC)) as fh:
+        assert parsed == json.load(fh)
+    assert fresh.load(SPEC, wire=True) is parsed
+    assert serialize_result(fresh.load(SPEC)) == parsed
+
+
 def test_store_disabled_keeps_memo_only(tmp_path):
     store = ResultStore(str(tmp_path / "never-created"), enabled=False)
     store.store(SPEC, _tiny_result())
@@ -304,6 +323,50 @@ def test_spec_rejects_too_many_threads():
     with pytest.raises(ValueError, match="cores"):
         make_spec("HIST", "all-near",
                   threads=DEFAULT_CONFIG.num_cores + 1)
+
+
+#: ``cache_key()`` literals computed before keys were hashed once per
+#: spec: every existing cache entry and serve key must stay addressable.
+PINNED_KEYS = [
+    (make_spec("WAT", "present-near", threads=8, scale=0.5, seed=0),
+     "21861a904a477a43f3433cb7"),
+    (make_spec("HIST", "dynamo-reuse-pn", threads=8, scale=0.5, seed=0,
+               config=DEFAULT_CONFIG.replace(amt_entries=256,
+                                             direct_inval_acks=True)),
+     "ab745c19a56bb7579e2c92c6"),
+]
+
+
+@pytest.mark.parametrize("spec,key", PINNED_KEYS)
+def test_cache_keys_are_pinned(spec, key):
+    assert spec.cache_key() == key
+    assert spec.cache_key() == key, "the kept key is the hashed one"
+    # A config equal to the default but not the default object takes
+    # the field walk and must land on the same key.
+    walked = make_spec(spec.workload, spec.policy, threads=spec.threads,
+                       scale=spec.scale, seed=spec.seed,
+                       config=spec.resolve_config().replace())
+    assert walked == spec and walked.cache_key() == key
+
+
+def test_kept_key_stays_out_of_eq_hash_repr_and_replace():
+    spec = make_spec("WAT", "present-near", threads=8, scale=0.5)
+    fresh = make_spec("WAT", "present-near", threads=8, scale=0.5)
+    key = spec.cache_key()
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh) and key not in repr(spec)
+    assert dataclasses.asdict(spec) == dataclasses.asdict(fresh)
+    other = dataclasses.replace(spec, seed=1)
+    assert other.cache_key() != key, "replace must not carry the key over"
+    assert pickle.loads(pickle.dumps(spec)).cache_key() == key
+
+
+def test_with_config_of_the_base_returns_the_spec_itself():
+    spec = ex.RunSpec("HIST", "all-near", 4)
+    assert spec.with_config(DEFAULT_CONFIG) is spec
+    changed = spec.with_config(DEFAULT_CONFIG.replace(mem_latency=7))
+    assert changed.with_config(DEFAULT_CONFIG).config_overrides == (), \
+        "recorded overrides are cleared, never kept by the shortcut"
 
 
 def test_default_jobs_env(monkeypatch):

@@ -6,8 +6,9 @@ a load never returns a *wrong* result (stale-but-evicted is a miss,
 never corruption) and the on-disk footprint never exceeds the byte
 budget after an eviction pass.  The scheduler tests pin what the
 flight does itself: a result stored after ``submit`` missed is served
-from the store, never recomputed, and a flight that raises anything
-settles every cell parked on its key.
+from the store, never recomputed, a flight that raises anything
+settles every cell parked on its key, and a result is serialized once
+per miss and never per hit.
 """
 
 import json
@@ -17,8 +18,10 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 
+from repro.harness import executor as executor_module
 from repro.harness.executor import (ResultStore, make_spec,
                                     serialize_result)
+from repro.service import scheduler as scheduler_module
 from repro.service.scheduler import Scheduler
 from tests.service.conftest import stub_compute
 
@@ -92,6 +95,38 @@ def test_flight_raising_base_exception_strands_no_cell(tmp_path):
     assert len(calls) == 2
 
 
+def test_miss_serializes_once_and_hits_never(tmp_path, monkeypatch):
+    """A miss flight builds the wire form once (the store and the cells
+    share it); a hit, from the memo or from disk, serializes nothing."""
+    calls = []
+
+    def counting(result):
+        calls.append(result.policy)
+        return serialize_result(result)
+
+    monkeypatch.setattr(scheduler_module, "serialize_result", counting)
+    monkeypatch.setattr(executor_module, "serialize_result", counting)
+    scheduler = Scheduler(ResultStore(str(tmp_path)), workers=1,
+                          compute=stub_compute)
+    cold = Scheduler(ResultStore(str(tmp_path)), workers=1,
+                     compute=stub_compute)
+    try:
+        miss = scheduler.submit([SPECS[0]])
+        assert miss.wait(10)
+        assert len(calls) == 1
+        hit = scheduler.submit([SPECS[0]])
+        disk = cold.submit([SPECS[0]])
+        assert hit.done and disk.done, "hits settle inside submit"
+    finally:
+        scheduler.shutdown()
+        cold.shutdown()
+    assert len(calls) == 1, "hits must not serialize"
+    assert [j.cells[0].source for j in (miss, hit, disk)] == \
+        ["computed", "cache", "cache"]
+    assert hit.cells[0].result is miss.cells[0].result
+    assert disk.cells[0].result == miss.cells[0].result
+
+
 # --- store/load/evict interleavings (property test) -------------------
 
 
@@ -136,6 +171,11 @@ def test_store_interleavings_never_lie_and_respect_budget(trace):
                                       sort_keys=True)
                     assert wire == expected[spec.cache_key()], \
                         "load returned a wrong result"
+                kept = store.load(spec, wire=True)
+                if kept is not None:
+                    assert json.dumps(kept, sort_keys=True) == \
+                        expected[spec.cache_key()], \
+                        "load returned a wrong wire form"
             else:
                 store.evict_to_budget()
                 assert store.disk_bytes() <= budget

@@ -81,3 +81,40 @@ def test_cold_restart_serves_golden_hits_from_disk(make_service, tmp_path):
     assert cell["source"] == "cache"
     key = f"{GOLDEN_CELLS[0]['workload']}/{GOLDEN_CELLS[0]['policy']}"
     assert _served_sha(cell) == DIGESTS["cells"][key]["result_sha256"]
+
+
+def test_payload_is_identical_computed_memo_and_disk(make_service,
+                                                     tmp_path):
+    """One golden cell served three ways: just computed, from the memo,
+    and from a cold store on the same directory.  The payloads are
+    equal and golden, and serving hits leaves the first job's payload
+    untouched (the memo's wire form is shared, never mutated)."""
+    from repro.harness.executor import ResultStore, execute_spec
+
+    cache_dir = str(tmp_path / "shared-cache")
+    cell = _cells()[:1]
+    key = f"{GOLDEN_CELLS[0]['workload']}/{GOLDEN_CELLS[0]['policy']}"
+    want = DIGESTS["cells"][key]["result_sha256"]
+
+    _server, client = make_service(compute=execute_spec, workers=1,
+                                   store=ResultStore(cache_dir))
+    first = client.run_batch(cell)
+    memo = client.run_batch(cell)
+
+    def never(spec):
+        raise AssertionError("a cold store must read the disk entry")
+
+    _cold, cold_client = make_service(compute=never, workers=1,
+                                      store=ResultStore(cache_dir))
+    disk = cold_client.run_batch(cell)
+
+    served = [job["cells"][0] for job in (first, memo, disk)]
+    assert [c["source"] for c in served] == ["computed", "cache", "cache"]
+    assert served[0]["result"] == served[1]["result"] == served[2]["result"]
+    assert [_served_sha(c) for c in served] == [want] * 3
+
+    client.run_batch(cell)  # one more memo hit
+    status, again = client.get(f"/v1/batch/{first['job']}")
+    assert status == 200
+    assert again["cells"][0]["result"] == served[0]["result"]
+    assert _served_sha(again["cells"][0]) == want
