@@ -106,7 +106,7 @@ def _install(machine: Machine, state: CacheState) -> None:
         # exclusive LLC holds no copy.
         entry.owner = HOME
     else:  # SC: clean shared copy, data also lives at the LLC.
-        entry.sharers.add(HOME)
+        entry.add_sharer(HOME)
         hn.llc_fill(block)
 
 

@@ -18,6 +18,12 @@ Fig. 1:
 
 The *AMO buffer* (Section III-B2) holds the data of recently-AMO'd blocks
 next to the ALU so back-to-back far AMOs skip the slow LLC data array.
+
+The directory is *full-map*: ``DirEntry.sharers`` is an ``int`` bit
+vector with bit ``c`` set when core ``c`` holds the block SharedClean,
+one bit per core per block as in the hardware, so an entry owns no
+container.  Only this module and :mod:`repro.sim.machine` touch the
+bits; everything else reads holders through the ``DirEntry`` methods.
 """
 
 from __future__ import annotations
@@ -41,20 +47,38 @@ class DirEntry:
     def __init__(self) -> None:
         #: core holding the block in UC/UD/SD (data responsibility), if any.
         self.owner: Optional[int] = None
-        #: cores holding the block in SC (the owner is tracked separately).
-        self.sharers: Set[int] = set()
+        #: full-map bit vector of the cores holding the block in SC (bit
+        #: ``c`` is core ``c``; the owner is tracked separately).
+        self.sharers: int = 0
         #: time until which the block's transaction slot at the HN is held.
         self.line_busy_until = 0
 
+    def add_sharer(self, core: int) -> None:
+        self.sharers |= 1 << core
+
+    def has_sharer(self, core: int) -> bool:
+        return self.sharers >> core & 1 == 1
+
+    def sharer_cores(self) -> List[int]:
+        """The SC holders, lowest core first."""
+        cores: List[int] = []
+        bits = self.sharers
+        while bits:
+            low = bits & -bits
+            cores.append(low.bit_length() - 1)
+            bits ^= low
+        return cores
+
     def holders(self) -> Set[int]:
         """All private caches holding a copy."""
-        if self.owner is None:
-            return set(self.sharers)
-        return self.sharers | {self.owner}
+        holders = set(self.sharer_cores())
+        if self.owner is not None:
+            holders.add(self.owner)
+        return holders
 
     def drop(self, core: int) -> None:
-        """Remove ``core`` from the holder sets."""
-        self.sharers.discard(core)
+        """Remove ``core`` from the holders."""
+        self.sharers &= ~(1 << core)
         if self.owner == core:
             self.owner = None
 
@@ -184,7 +208,7 @@ class DirectoryState:
         return tuple(sorted(
             (block,
              -1 if e.owner is None else e.owner,
-             tuple(sorted(e.sharers)))
+             tuple(e.sharer_cores()))
             for block, e in self._entries.items() if not e.is_idle()))
 
     def restore(self, snap: "DirectorySnapshot") -> None:
@@ -193,7 +217,8 @@ class DirectoryState:
         for block, owner, sharers in snap:
             entry = DirEntry()
             entry.owner = None if owner < 0 else owner
-            entry.sharers.update(sharers)
+            for core in sharers:
+                entry.add_sharer(core)
             self._entries[block] = entry
 
 

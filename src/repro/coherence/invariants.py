@@ -53,10 +53,10 @@ def check_swmr(machine: Machine) -> List[str]:
                     problems.append(
                         f"core {core} holds {block:#x} {state.name} but "
                         f"directory owner is {entry.owner}")
-            elif core not in entry.sharers:
+            elif not entry.has_sharer(core):
                 problems.append(
                     f"core {core} holds {block:#x} SC but is not in "
-                    f"directory sharers {sorted(entry.sharers)}")
+                    f"directory sharers {entry.sharer_cores()}")
     # Directory -> cache: no phantom holders.
     for block in directory.tracked_blocks():
         entry = directory.peek(block)
@@ -71,7 +71,7 @@ def check_swmr(machine: Machine) -> List[str]:
                 problems.append(
                     f"directory owner {entry.owner} of {block:#x} holds "
                     f"it in SC")
-        for core in sorted(entry.sharers):
+        for core in entry.sharer_cores():
             line, _level = machine.privates[core].find(block)
             if line is None:
                 problems.append(

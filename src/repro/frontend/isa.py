@@ -21,6 +21,7 @@ workloads control their AMOs-per-kilo-instruction density).
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Final, Optional
 
@@ -136,12 +137,14 @@ MARK_NAMES: Final[tuple[str, ...]] = (
 # analyses writes an op field after construction), so identical ops can
 # share one instance; workload generators re-issue the same
 # read/add/think shapes millions of times and the dataclass construction
-# cost is measurable in the bench grid.
+# cost is measurable in the bench grid.  The two-field factories keep
+# one address-keyed dict per value (or marker code) rather than building
+# an ``(addr, value)`` tuple key on every call.
 _READ_CACHE: dict = {}
 _THINK_CACHE: dict = {}
-_LDADD_CACHE: dict = {}
-_STADD_CACHE: dict = {}
-_MARK_CACHE: dict = {}
+_LDADD_CACHE: defaultdict[int, dict[int, MemOp]] = defaultdict(dict)
+_STADD_CACHE: defaultdict[int, dict[int, MemOp]] = defaultdict(dict)
+_MARK_CACHE: defaultdict[int, dict[int, MemOp]] = defaultdict(dict)
 
 
 def read(addr: int) -> MemOp:
@@ -179,29 +182,28 @@ def mark(code: int, addr: int) -> MemOp:
     object's address.  Interned: sync loops re-emit the same few markers
     on every round trip.
     """
-    key = (code, addr)
-    op = _MARK_CACHE.get(key)
+    by_addr = _MARK_CACHE[code]
+    op = by_addr.get(addr)
     if op is None:
-        op = _MARK_CACHE[key] = MemOp(MARK, addr, value=code,
-                                      instructions=0)
+        op = by_addr[addr] = MemOp(MARK, addr, value=code, instructions=0)
     return op
 
 
 def ldadd(addr: int, value: int) -> MemOp:
     """Atomic fetch-and-add returning the old value."""
-    key = (addr, value)
-    op = _LDADD_CACHE.get(key)
+    by_addr = _LDADD_CACHE[value]
+    op = by_addr.get(addr)
     if op is None:
-        op = _LDADD_CACHE[key] = MemOp(AMO_LOAD, addr, value, ADD)
+        op = by_addr[addr] = MemOp(AMO_LOAD, addr, value, ADD)
     return op
 
 
 def stadd(addr: int, value: int) -> MemOp:
     """Atomic add with no return value (atomic-no-return)."""
-    key = (addr, value)
-    op = _STADD_CACHE.get(key)
+    by_addr = _STADD_CACHE[value]
+    op = by_addr.get(addr)
     if op is None:
-        op = _STADD_CACHE[key] = MemOp(AMO_STORE, addr, value, ADD)
+        op = by_addr[addr] = MemOp(AMO_STORE, addr, value, ADD)
     return op
 
 

@@ -14,8 +14,8 @@ The harness splits an experiment into three concerns:
   same JSON twice; the memo keeps each result's wire form beside it, so
   a served hit never serializes either.  A spec hashes its cache key
   once.  The store is service-grade: entries live in 256
-  key-prefix shard directories (a flat pre-shard cache is still read
-  and migrated on first touch), the memo is a bounded LRU so a
+  key-prefix shard directories (an entry in the flat pre-shard layout
+  is a miss and is left in place), the memo is a bounded LRU so a
   long-lived server cannot leak memory across millions of distinct
   specs, all memo traffic is thread-safe, and an optional byte budget
   (``$REPRO_CACHE_BYTES``) evicts least-recently-used entries from

@@ -21,8 +21,8 @@ tables are bound to instance attributes once at construction, enum
 members are named through the module constants defined next to each
 enum, each transaction looks a block up once and then works on the line
 it holds, ``max()`` chains over two or three ints are flattened to
-compares, and the directory holder sets are walked without building
-union sets.  Every
+compares, and the directory's full-map sharer bits are walked with bit
+operations, lowest core first.  Every
 transformation here is behaviour-preserving by definition of the golden
 corpus (``repro golden``).
 
@@ -484,7 +484,7 @@ class Machine:
                     # clean shared copy.
                     owner_line.state = SC
                     entry.owner = None
-                    entry.sharers.add(owner)
+                    entry.sharers |= 1 << owner
                     if not dirty:
                         self._llc_fill(hn, block)
                 stats.downgrades += 1
@@ -505,10 +505,11 @@ class Machine:
         # Grant state: Unique when nobody else holds a copy.
         owner_now = entry.owner
         sharers = entry.sharers
+        bit = 1 << core
         if (owner_now is not None and owner_now != core) or \
-                (sharers and (len(sharers) > 1 or core not in sharers)):
+                (sharers and sharers != bit):
             grant = SC
-            sharers.add(core)
+            entry.sharers = sharers | bit
         else:
             grant = UC
             self._own(hn, entry, block, owner, core)
@@ -761,15 +762,17 @@ class Machine:
         stats = self.stats
         slice_id, hn, entry, t_dir = self._home_request(
             core, block, ATOMIC_REQ, now)
-        # Dirty-holder scan without materializing the holder union set.
         owner = entry.owner
         dirty_holder = (owner is not None
                         and self._holder_is_dirty(owner, block))
         if not dirty_holder:
-            for holder in entry.sharers:
-                if holder != owner and self._holder_is_dirty(holder, block):
+            bits = entry.sharers
+            while bits:
+                low = bits & -bits
+                if self._holder_is_dirty(low.bit_length() - 1, block):
                     dirty_holder = True
                     break
+                bits ^= low
         snoop_done = self._invalidate_holders(slice_id, block, entry, None,
                                               now, t_dir)
         if self.bus.active:
@@ -849,9 +852,10 @@ class Machine:
         return slice_id, hn, entry, ordered + self._dir_lat
 
     def _leg(self, t: int, cycles: int, cat: str) -> int:
-        """A timed leg: ends ``cycles`` after ``t``, blamed on ``cat``."""
+        """A timed leg: ends ``cycles`` after ``t``, blamed on ``cat``
+        (a zero-cycle leg is blamed on nothing)."""
         bd = self._bd
-        if bd is not None:
+        if bd is not None and cycles:
             bd[cat] = bd.get(cat, 0) + cycles
         return t + cycles
 
@@ -887,7 +891,7 @@ class Machine:
         if self.bus.active:
             self._emit_handoff(block, prev_owner, core)
         entry.owner = core
-        entry.sharers.clear()
+        entry.sharers = 0
         hn.llc_drop(block)
         hn.amo_buffer.invalidate(block)
 
@@ -934,27 +938,24 @@ class Machine:
         centralizing the same invalidations at the HN.  Either way the
         returned time is ``t_dir`` when there was nothing to snoop.
         """
-        owner = entry.owner
-        sharers = entry.sharers
-        # Same iteration order as sorted(entry.holders()) without the
-        # set-union/copy on the no-holder and owner-only fast paths.
-        if not sharers:
-            if owner is None:
-                return t_dir
-            holders = (owner,)
-        elif owner is None:
-            holders = sorted(sharers)
-        else:
-            holders = sorted(sharers | {owner})
+        bits = entry.sharers
+        if entry.owner is not None:
+            bits |= 1 << entry.owner
+        if exclude is not None:
+            bits &= ~(1 << exclude)
+        if not bits:
+            return t_dir
         snoop_done = t_dir
         s2c = self._s2c_lat[slice_id]
         l1_lat = self._l1_lat
         direct = self._direct_acks
         l1_index = block % self._l1n
         l2_index = block % self._l2n
-        for holder in holders:
-            if holder == exclude:
-                continue
+        # Lowest core first, the order sorted(entry.holders()) gives.
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            holder = low.bit_length() - 1
             # Inlined PrivateCacheHierarchy.invalidate: drop the copy
             # from both levels.
             l2_set = self._l2sets[holder][l2_index]

@@ -1,5 +1,7 @@
 """Tests for home nodes: directory entries, AMO buffer, LLC slices."""
 
+import tracemalloc
+
 import pytest
 
 from repro.coherence.directory import (AmoBuffer, DirectoryState, DirEntry,
@@ -22,7 +24,8 @@ class TestDirEntry:
     def test_holders_union(self):
         entry = DirEntry()
         entry.owner = 1
-        entry.sharers.update({2, 3})
+        entry.add_sharer(2)
+        entry.add_sharer(3)
         assert entry.holders() == {1, 2, 3}
 
     def test_drop_owner(self):
@@ -33,15 +36,32 @@ class TestDirEntry:
 
     def test_drop_sharer(self):
         entry = DirEntry()
-        entry.sharers.update({1, 2})
+        entry.add_sharer(1)
+        entry.add_sharer(2)
         entry.drop(1)
-        assert entry.sharers == {2}
+        assert entry.sharer_cores() == [2]
 
     def test_drop_non_holder_is_noop(self):
         entry = DirEntry()
         entry.owner = 1
         entry.drop(9)
         assert entry.owner == 1
+
+    def test_footprint_per_entry(self):
+        # A full-map entry holds its sharers as bits, not a container:
+        # an empty set alone is 216 bytes.
+        count = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            entries = [DirEntry() for _ in range(count)]
+            for entry in entries:
+                entry.add_sharer(3)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(entry.sharer_cores() == [3] for entry in entries)
+        assert used / count <= 100
 
 
 class TestAmoBuffer:

@@ -252,3 +252,43 @@ def test_pool_walk_sees_every_form():
                    "multiprocessing.Pipe(duplex=False)",
                    "import multiprocessing"):
         assert list(_pool_names(source)) == [], source
+
+
+# --- the directory's sharer bit vector has two owners -------------------
+
+#: The modules that read or write ``DirEntry.sharers`` directly: the
+#: entry itself and the Machine's hot paths.  Everything else reads
+#: holders through ``DirEntry``'s methods.
+SHARER_MODULES = ("coherence/directory.py", "sim/machine.py")
+
+
+def _sharer_touches(source):
+    """Line numbers of every ``.sharers`` attribute in ``source``, read or
+    written."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "sharers":
+            yield node.lineno
+
+
+def test_only_the_directory_and_machine_touch_sharer_bits():
+    """The full-map bit layout is known to two modules."""
+    offenders = [f"{path.relative_to(SRC)}:{line}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 if path.relative_to(SRC).as_posix() not in SHARER_MODULES
+                 for line in _sharer_touches(path.read_text())]
+    assert offenders == []
+
+
+def test_sharer_walk_sees_every_form():
+    # Not vacuous: both owners' own uses are found ...
+    for name in SHARER_MODULES:
+        assert list(_sharer_touches((SRC / name).read_text())), name
+    # ... and every way of touching the field is caught.
+    for source in ("entry.sharers |= 1 << core", "e.sharers = 0",
+                   "if core in entry.sharers: pass",
+                   "sorted(directory.peek(b).sharers)",
+                   "entry.sharers.add(core)"):
+        assert list(_sharer_touches(source)) == [1], source
+    for source in ("entry.sharer_cores()", "entry.has_sharer(3)",
+                   "sharers = entry.holders()", "# entry.sharers"):
+        assert list(_sharer_touches(source)) == [], source
