@@ -286,10 +286,6 @@ def scope_by_name(name: str,
                    f"have {[s.name for s in scopes]}")
 
 
-def scope_names(scopes: Sequence[Scope] = DEFAULT_SCOPES) -> List[str]:
-    return [scope.name for scope in scopes]
-
-
 def max_schedule_length(scope: Scope) -> int:
     """Upper bound on schedule length ignoring lock retries."""
     return sum(len(script) for script in scope.scripts)

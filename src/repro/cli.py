@@ -65,23 +65,15 @@ from repro.harness.runner import Runner
 from repro.harness.tables import TABLES
 from repro.sim.config import DEFAULT_CONFIG, PAPER_CONFIG
 from repro.workloads import TABLE_III_CODES, WORKLOADS
-from repro.workloads.base import check_scale
+from repro.workloads.base import check_scale, workload_code
 
 
 def _workload_code(raw: str) -> str:
-    """Resolve a workload given as Table III code or human name.
-
-    ``HIST``, ``hist`` and ``histogram`` all resolve to ``HIST``.
-    """
-    code = raw.strip().upper()
-    if code in WORKLOADS:
-        return code
-    lowered = raw.strip().lower()
-    for candidate, registered in WORKLOADS.items():
-        if registered.spec.name.lower() == lowered:
-            return candidate
-    raise argparse.ArgumentTypeError(
-        f"unknown workload {raw!r} (try `repro list`)")
+    """A workload as Table III code or human name (``hist``, ``histogram``)."""
+    try:
+        return workload_code(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(raw: str) -> int:
@@ -119,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list workloads and policies")
 
     run = sub.add_parser("run", help="simulate one workload/policy cell")
-    run.add_argument("workload", choices=sorted(WORKLOADS))
+    run.add_argument("workload", type=_workload_code,
+                     help="Table III code or name (e.g. HIST or histogram)")
     run.add_argument("--policy", default="all-near",
                      choices=sorted(POLICIES))
     run.add_argument("--threads", type=_positive_int, default=None)

@@ -75,11 +75,11 @@ def attach_energy(result: SimulationResult, num_cores: int,
 class EnergySink(Sink):
     """Stock instrumentation-bus sink attaching the energy breakdown.
 
-    Energy is a pure function of the event *counts* the fused stats and
-    traffic sinks already aggregate, so this sink needs no per-event
-    dispatch (``wants_events = False``) — it derives the breakdown once
-    at ``finalize`` time, exactly as the runner used to by calling
-    :func:`attach_energy` after the simulation.
+    Energy is a pure function of the event *counts* the bus's fused
+    stats and traffic stores already aggregate, so this sink needs no
+    per-event dispatch (``wants_events = False``) — it derives the
+    breakdown once at ``finalize`` time, exactly as the runner used to
+    by calling :func:`attach_energy` after the simulation.
     """
 
     wants_events = False

@@ -21,7 +21,6 @@ workloads control their AMOs-per-kilo-instruction density).
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Final, Optional
 
@@ -132,27 +131,9 @@ MARK_NAMES: Final[tuple[str, ...]] = (
 )
 
 
-# Interning caches for the factories that dominate generated programs.
-# MemOps are immutable by convention (nothing in the simulator or the
-# analyses writes an op field after construction), so identical ops can
-# share one instance; workload generators re-issue the same
-# read/add/think shapes millions of times and the dataclass construction
-# cost is measurable in the bench grid.  The two-field factories keep
-# one address-keyed dict per value (or marker code) rather than building
-# an ``(addr, value)`` tuple key on every call.
-_READ_CACHE: dict = {}
-_THINK_CACHE: dict = {}
-_LDADD_CACHE: defaultdict[int, dict[int, MemOp]] = defaultdict(dict)
-_STADD_CACHE: defaultdict[int, dict[int, MemOp]] = defaultdict(dict)
-_MARK_CACHE: defaultdict[int, dict[int, MemOp]] = defaultdict(dict)
-
-
 def read(addr: int) -> MemOp:
     """Plain load from ``addr``."""
-    op = _READ_CACHE.get(addr)
-    if op is None:
-        op = _READ_CACHE[addr] = MemOp(READ, addr)
-    return op
+    return MemOp(READ, addr)
 
 
 def write(addr: int, value: int = 0) -> MemOp:
@@ -167,11 +148,7 @@ def think(cycles: int, instructions: Optional[int] = None) -> MemOp:
     which approximates a core sustaining its issue width on compute code.
     """
     if instructions is None:
-        op = _THINK_CACHE.get(cycles)
-        if op is None:
-            op = _THINK_CACHE[cycles] = MemOp(
-                THINK, cycles=cycles, instructions=max(1, cycles))
-        return op
+        instructions = max(1, cycles)
     return MemOp(THINK, 0, 0, None, 0, cycles, instructions)
 
 
@@ -179,32 +156,19 @@ def mark(code: int, addr: int) -> MemOp:
     """Timing-neutral sync marker (``cycles=0``, ``instructions=0``).
 
     ``code`` is one of the ``MARK_*`` constants; ``addr`` is the sync
-    object's address.  Interned: sync loops re-emit the same few markers
-    on every round trip.
+    object's address.
     """
-    by_addr = _MARK_CACHE[code]
-    op = by_addr.get(addr)
-    if op is None:
-        op = by_addr[addr] = MemOp(MARK, addr, value=code, instructions=0)
-    return op
+    return MemOp(MARK, addr, code, None, 0, 0, 0)
 
 
 def ldadd(addr: int, value: int) -> MemOp:
     """Atomic fetch-and-add returning the old value."""
-    by_addr = _LDADD_CACHE[value]
-    op = by_addr.get(addr)
-    if op is None:
-        op = by_addr[addr] = MemOp(AMO_LOAD, addr, value, ADD)
-    return op
+    return MemOp(AMO_LOAD, addr, value, ADD)
 
 
 def stadd(addr: int, value: int) -> MemOp:
     """Atomic add with no return value (atomic-no-return)."""
-    by_addr = _STADD_CACHE[value]
-    op = by_addr.get(addr)
-    if op is None:
-        op = by_addr[addr] = MemOp(AMO_STORE, addr, value, ADD)
-    return op
+    return MemOp(AMO_STORE, addr, value, ADD)
 
 
 def ldmin(addr: int, value: int) -> MemOp:

@@ -310,8 +310,9 @@ class ResultStore:
     a hit with no serialization.  Wire forms are shared by every caller
     and must not be mutated.  When a
     byte budget is set (``byte_budget`` or ``$REPRO_CACHE_BYTES``),
-    every write evicts least-recently-used entries (by mtime; disk
-    hits re-touch their file) until the cache fits the budget.
+    every write evicts least-recently-used entries (by mtime; every
+    hit, memo or disk, re-touches its file) until the cache fits the
+    budget.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
@@ -391,20 +392,19 @@ class ResultStore:
         key = spec.cache_key()
         entry = self._memo_get(key)
         if entry is None:
-            path = self.path_for(spec)
-            data = self._read_json(path)
+            data = self._read_json(self.path_for(spec))
             if data is None:
                 return None
             try:
                 entry = (deserialize_result(data), data)
             except CacheSchemaError:
                 return None  # written by a different revision: recompute
-            if self.byte_budget is not None:
-                try:  # refresh recency so LRU eviction spares hot entries
-                    os.utime(path)
-                except OSError:
-                    pass
             self._memo_put(key, entry)
+        if self.byte_budget is not None:
+            try:  # refresh recency so LRU eviction spares hot entries
+                os.utime(self.path_for(spec))
+            except OSError:
+                pass
         return entry[1] if wire else entry[0]
 
     # --- write --------------------------------------------------------

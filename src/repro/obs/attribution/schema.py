@@ -36,10 +36,6 @@ _TYPES = {
 }
 
 
-class SchemaError(ValueError):
-    """The document does not conform to the schema."""
-
-
 def _check_type(instance: Any, expected: Any, path: str,
                 errors: List[str]) -> bool:
     names = expected if isinstance(expected, list) else [expected]
@@ -114,13 +110,6 @@ def validate(instance: Any, schema: Dict[str, Any]) -> List[str]:
     errors: List[str] = []
     _validate(instance, schema, "$", errors)
     return errors
-
-
-def validate_or_raise(instance: Any, schema: Dict[str, Any]) -> None:
-    """Like :func:`validate` but raises :class:`SchemaError`."""
-    errors = validate(instance, schema)
-    if errors:
-        raise SchemaError("; ".join(errors))
 
 
 def main(argv: List[str]) -> int:

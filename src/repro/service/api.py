@@ -26,8 +26,7 @@ from repro.harness.executor import RunSpec, make_spec
 from repro.obs.attribution.schema import validate
 from repro.service.schemas import load_schema
 from repro.sim.config import DEFAULT_CONFIG, SystemConfig
-from repro.workloads import WORKLOADS
-from repro.workloads.base import check_scale
+from repro.workloads.base import check_scale, workload_code
 
 #: The wire schema for POST /v1/batch bodies (checked in, shipped).
 BATCH_SCHEMA = load_schema("batch")
@@ -47,27 +46,14 @@ class BatchValidationError(ValueError):
         self.errors = errors
 
 
-def _workload_code(raw: str) -> str:
-    """Resolve Table III codes or human names, like the CLI does."""
-    code = raw.strip().upper()
-    if code in WORKLOADS:
-        return code
-    lowered = raw.strip().lower()
-    for candidate, registered in WORKLOADS.items():
-        if registered.spec.name.lower() == lowered:
-            return candidate
-    raise KeyError(raw)
-
-
 def _parse_cell(i: int, cell: Dict[str, Any],
                 errors: List[str]) -> RunSpec | None:
     """Semantic pass over one schema-valid cell dict."""
     path = f"$.cells[{i}]"
     try:
-        workload = _workload_code(cell["workload"])
-    except KeyError:
-        errors.append(f"{path}.workload: unknown workload "
-                      f"{cell['workload']!r} (try `repro list`)")
+        workload = workload_code(cell["workload"])
+    except ValueError as exc:
+        errors.append(f"{path}.workload: {exc}")
         return None
     policy = cell["policy"]
     if policy not in POLICIES:

@@ -5,22 +5,20 @@ events (AMO placements, snoops, invalidations, LLC/DRAM accesses, line
 handoffs, protocol messages) to an :class:`EventBus` instead of owning
 their observability.  Consumers subscribe :class:`Sink` objects:
 
-* the three *stock* sinks — :class:`StatsSink` (the `MachineStats`
-  counter block), :class:`TrafficSink` (the NoC `TrafficMeter`) and the
-  energy sink (:class:`repro.energy.model.EnergySink`) — reproduce the
-  accounting the machine previously hard-wired;
+* the energy sink (:class:`repro.energy.model.EnergySink`) derives the
+  energy breakdown at ``finalize``;
 * :class:`TraceSink` records an opt-in structured per-op JSONL trace
   (``python -m repro run --trace FILE``).
 
 Fast path: pure counters *are* their own events — a counter increment
-carries no information beyond "this event happened" — so the stock
-stats/traffic sinks are **fused**: the bus hands emitters a direct
-reference to the underlying counter block and meter, and per-event
-dispatch (`Event` construction + fan-out to ``on_event``) only happens
-when a sink that *wants* events is subscribed (``bus.active``).  With
-only the stock sinks attached, default-mode simulation therefore
-executes the exact instruction sequence it did before the bus existed;
-each emission site costs one attribute load and one branch.
+carries no information beyond "this event happened" — so the counters
+are **fused** into the bus: it owns the `MachineStats` block
+(``bus.stats``) and the NoC `TrafficMeter` (``bus.traffic``), emitters
+increment them directly, and per-event dispatch (`Event` construction +
+fan-out to ``on_event``) only happens when a sink that *wants* events is
+subscribed (``bus.active``).  With no such sink attached, default-mode
+simulation executes the exact instruction sequence it did before the
+bus existed; each emission site costs one attribute load and one branch.
 """
 
 from __future__ import annotations
@@ -137,29 +135,6 @@ class Sink:
         """Release resources (files, handles)."""
 
 
-class StatsSink(Sink):
-    """Stock sink owning the :class:`MachineStats` counter block.
-
-    Fused: emitters increment ``.stats`` directly through the reference
-    the bus hands out, so counting costs exactly what it did when the
-    machine owned the counters.
-    """
-
-    wants_events = False
-
-    def __init__(self, stats: Optional[MachineStats] = None) -> None:
-        self.stats = stats if stats is not None else MachineStats()
-
-
-class TrafficSink(Sink):
-    """Stock sink owning the NoC :class:`TrafficMeter` (fused)."""
-
-    wants_events = False
-
-    def __init__(self, meter: Optional[TrafficMeter] = None) -> None:
-        self.meter = meter if meter is not None else TrafficMeter()
-
-
 class EventBus:
     """Connects emitters (machine, caches, home nodes, mesh) to sinks.
 
@@ -170,21 +145,18 @@ class EventBus:
     """
 
     __slots__ = ("stats", "traffic", "now", "active", "stamps", "_sinks",
-                 "_event_sinks", "stats_sink", "traffic_sink")
+                 "_event_sinks")
 
-    def __init__(self, stats_sink: Optional[StatsSink] = None,
-                 traffic_sink: Optional[TrafficSink] = None) -> None:
-        self.stats_sink = stats_sink or StatsSink()
-        self.traffic_sink = traffic_sink or TrafficSink()
+    def __init__(self) -> None:
         #: fused stores, referenced directly by the hot paths.
-        self.stats = self.stats_sink.stats
-        self.traffic = self.traffic_sink.meter
+        self.stats = MachineStats()
+        self.traffic = TrafficMeter()
         self.now = 0
         self.active = False
         #: True iff a subscribed sink wants stamp events; the machine and
         #: engine select the instrumented (timing-identical) paths on it.
         self.stamps = False
-        self._sinks: List[Sink] = [self.stats_sink, self.traffic_sink]
+        self._sinks: List[Sink] = []
         #: prebuilt fan-out list so emit() never re-filters per event.
         self._event_sinks: List[Sink] = []
 

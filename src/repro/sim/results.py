@@ -130,13 +130,6 @@ class SimulationResult:
         return self.stats.amo_latency_sum / total
 
     @property
-    def far_fraction(self) -> float:
-        total = self.stats.total_amos
-        if total == 0:
-            return 0.0
-        return self.stats.far_amos / total
-
-    @property
     def total_energy(self) -> float:
         return sum(self.energy.values())
 

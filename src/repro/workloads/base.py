@@ -33,6 +33,22 @@ def check_scale(scale: float) -> float:
     return scale
 
 
+def workload_code(raw: str) -> str:
+    """Resolve a workload given as Table III code or human name.
+
+    ``HIST``, ``hist`` and ``histogram`` all resolve to ``HIST``;
+    anything else is a ValueError.
+    """
+    code = raw.strip().upper()
+    if code in WORKLOADS:
+        return code
+    lowered = raw.strip().lower()
+    for candidate, registered in WORKLOADS.items():
+        if registered.spec.name.lower() == lowered:
+            return candidate
+    raise ValueError(f"unknown workload {raw!r} (try `repro list`)")
+
+
 def classify_apki(apki: float) -> str:
     """Map an AMOs-per-kilo-instruction value to the paper's L/M/H sets."""
     if apki < LOW_APKI_BOUND:

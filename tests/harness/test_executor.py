@@ -288,6 +288,26 @@ def test_byte_budget_evicts_lru(tmp_path):
         "newest entry survives"
 
 
+def test_byte_budget_memo_hit_refreshes_recency(tmp_path):
+    """An entry served from the memo is recent: eviction takes a colder one."""
+    probe = ResultStore(str(tmp_path / "probe"))
+    probe.store(SPEC, _tiny_result())
+    entry_bytes = os.path.getsize(probe.path_for(SPEC))
+
+    store = ResultStore(str(tmp_path / "real"),
+                        byte_budget=entry_bytes * 5 // 2)
+    a, b, c = (make_spec("HIST", "all-near", threads=4, scale=0.1, seed=s)
+               for s in range(3))
+    now = time.time()
+    for age, spec in ((200, a), (100, b)):
+        store.store(spec, _tiny_result())
+        os.utime(store.path_for(spec), (now - age, now - age))
+    assert store.load(a) is not None  # a memo hit
+    store.store(c, _tiny_result())
+    assert os.path.exists(store.path_for(a)), "hot entry survives"
+    assert not os.path.exists(store.path_for(b)), "cold entry evicted"
+
+
 def test_byte_budget_protects_latest_write(tmp_path):
     """A budget smaller than one entry still serves the entry just stored."""
     store = ResultStore(str(tmp_path), byte_budget=1)
@@ -537,3 +557,32 @@ def test_progress_disabled_for_empty_sweeps(monkeypatch):
     from repro.harness.executor import SweepProgress
     monkeypatch.setenv("REPRO_PROGRESS", "1")
     assert not SweepProgress(0, stream=_FakeTTY()).enabled
+
+
+# --- a cell leaves nothing behind in its process ----------------------
+
+
+def test_cells_leave_no_memory_behind():
+    """Pool workers and ``repro serve`` run many cells in one process, so
+    a finished cell must not leave state behind: after a warm-up cell
+    (imports, registries), later cells with other workloads and seeds
+    return traced memory to the post-warm-up level."""
+    import gc
+    import tracemalloc
+
+    from repro.harness.executor import execute_spec
+
+    def cell(workload, seed):
+        execute_spec(make_spec(workload, "dynamo-reuse-pn", threads=4,
+                               scale=0.2, seed=seed))
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        baseline = cell("HIST", 0)
+        growth = [cell(w, s) - baseline
+                  for w, s in (("SPMV", 1), ("CC", 2), ("HIST", 3))]
+    finally:
+        tracemalloc.stop()
+    assert max(growth) < 32 * 1024, f"bytes left behind per cell: {growth}"

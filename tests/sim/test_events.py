@@ -1,9 +1,9 @@
 """Instrumentation-bus tests: fast path, dispatch, tracing, invariants.
 
 The bus must be invisible to timing (identical cycles with and without
-event sinks), its stock sinks must be fused with the machine's hot-path
-counters, and the opt-in sinks (trace, sanitizer, collector) must see a
-stream that reconciles exactly with the run's final statistics.
+event sinks), it must own the machine's hot-path counters (fused), and
+the opt-in sinks (trace, sanitizer, collector) must see a stream that
+reconciles exactly with the run's final statistics.
 """
 
 import io
@@ -17,9 +17,11 @@ from repro.frontend.program import GeneratorProgram
 from repro.sim.config import TINY_CONFIG
 from repro.sim.engine import run
 from repro.analysis.modelcheck.sanitize import SanitizerSink
-from repro.sim.events import (CollectorSink, EventBus, EventKind, StatsSink,
-                              TraceSink, TrafficSink)
+from repro.energy.model import EnergySink
+from repro.noc.message import TrafficMeter
+from repro.sim.events import CollectorSink, EventBus, EventKind, TraceSink
 from repro.sim.machine import Machine
+from repro.sim.results import MachineStats
 from repro.sync.mutex import PthreadMutex
 
 BLOCKS = [0x8000 + i * 64 for i in range(8)]
@@ -59,9 +61,8 @@ def run_with_sinks(policy="all-near", sinks=(), seed=3):
 def test_stock_sinks_do_not_activate_dispatch():
     bus = EventBus()
     assert not bus.active
-    bus.subscribe(StatsSink())
-    bus.subscribe(TrafficSink())
-    assert not bus.active, "counter-only sinks must keep the fast path"
+    bus.subscribe(EnergySink(TINY_CONFIG.num_cores))
+    assert not bus.active, "finalize-only sinks must keep the fast path"
     collector = bus.subscribe(CollectorSink())
     assert bus.active
     bus.unsubscribe(collector)
@@ -72,7 +73,8 @@ def test_machine_counters_are_fused_with_bus():
     machine = Machine(TINY_CONFIG, "all-near")
     assert machine.stats is machine.bus.stats
     assert machine.traffic is machine.bus.traffic
-    assert machine.bus.stats is machine.bus.stats_sink.stats
+    assert isinstance(machine.bus.stats, MachineStats)
+    assert isinstance(machine.bus.traffic, TrafficMeter)
 
 
 def test_event_as_dict_flattens_info():

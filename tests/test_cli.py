@@ -136,13 +136,25 @@ def test_profile_command(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().err.startswith("usage:")
 
 
-def test_profile_accepts_code_or_name():
-    from repro.cli import _workload_code
-    assert _workload_code("HIST") == "HIST"
-    assert _workload_code("hist") == "HIST"
-    assert _workload_code("histogram") == "HIST"
-    with pytest.raises(Exception):
-        _workload_code("not-a-workload")
+def test_profile_accepts_code_or_name(capsys):
+    from repro.workloads.base import workload_code
+    assert workload_code("HIST") == "HIST"
+    assert workload_code("hist") == "HIST"
+    assert workload_code("histogram") == "HIST"
+    with pytest.raises(ValueError, match="unknown workload"):
+        workload_code("not-a-workload")
+    outputs = []
+    for name in ("HIST", "hist", "histogram"):
+        assert main(["run", name, "--threads", "4", "--scale", "0.1",
+                     "--no-cache"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs.count(outputs[0]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "not-a-workload"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "unknown workload 'not-a-workload'" in err
 
 
 def test_perfetto_command(capsys, tmp_path):
