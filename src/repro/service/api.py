@@ -6,9 +6,9 @@ rather than a bare message, so a client can fix exactly the cell that
 is wrong:
 
 1. **Shape** — the checked-in JSON schema
-   (``src/repro/service/schemas/batch.schema.json``) via the same
-   dependency-free validator ``repro why``/``repro diff`` pin their
-   output with;
+   (``src/repro/service/schemas/batch.schema.json``), compiled once at
+   import by the same dependency-free validator ``repro why``/``repro
+   diff`` pin their output with;
 2. **Semantics** — workload and policy names resolve against the
    registries, scale is positive and finite, config overrides name real
    :class:`~repro.sim.config.SystemConfig` fields, and thread counts
@@ -23,13 +23,16 @@ from typing import Any, Dict, List
 
 from repro.core.registry import POLICIES
 from repro.harness.executor import RunSpec, make_spec
-from repro.obs.attribution.schema import validate
+from repro.obs.attribution.schema import compile_schema
 from repro.service.schemas import load_schema
 from repro.sim.config import DEFAULT_CONFIG, SystemConfig
 from repro.workloads.base import check_scale, workload_code
 
 #: The wire schema for POST /v1/batch bodies (checked in, shipped).
 BATCH_SCHEMA = load_schema("batch")
+
+#: :data:`BATCH_SCHEMA` compiled once, so a request only runs its checks.
+_check_batch = compile_schema(BATCH_SCHEMA)
 
 #: Largest accepted batch: bounds per-request memory and queue abuse.
 MAX_BATCH_CELLS = 1024
@@ -67,13 +70,13 @@ def _parse_cell(i: int, cell: Dict[str, Any],
         errors.append(f"{path}.scale: {exc}")
         return None
     config = DEFAULT_CONFIG
-    overrides = cell.get("config") or {}
-    bad = sorted(set(overrides) - set(_CONFIG_FIELDS))
-    if bad:
-        errors.append(f"{path}.config: unknown SystemConfig field(s) "
-                      f"{bad} (known: {sorted(_CONFIG_FIELDS)})")
-        return None
+    overrides = cell.get("config")
     if overrides:
+        bad = sorted(set(overrides) - _CONFIG_FIELDS.keys())
+        if bad:
+            errors.append(f"{path}.config: unknown SystemConfig field(s) "
+                          f"{bad} (known: {sorted(_CONFIG_FIELDS)})")
+            return None
         try:
             config = DEFAULT_CONFIG.replace(**overrides)
         except (TypeError, ValueError) as exc:
@@ -98,7 +101,8 @@ def parse_batch(payload: Any) -> List[RunSpec]:
         BatchValidationError: with every shape and semantic problem
             found, each tagged with its JSON path.
     """
-    errors = validate(payload, BATCH_SCHEMA)
+    errors: List[str] = []
+    _check_batch(payload, "$", errors)
     if errors:
         raise BatchValidationError(errors)
     cells = payload["cells"]

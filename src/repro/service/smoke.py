@@ -11,10 +11,13 @@ an ephemeral port, then:
 3. re-posts the same batch and requires it to be answered from the
    cache, bit-identical to the golden digest (to the first answer when
    the corpus is absent), with hit ratio > 0 afterwards;
-4. validates the ``GET /v1/stats`` document against the checked-in
+4. speaks HTTP over a bare socket: a malformed request line must get
+   400, and a POST+GET pair on one keep-alive connection must serve
+   the same bytes again;
+5. validates the ``GET /v1/stats`` document against the checked-in
    schema (``tests/schemas/serve.schema.json``) with the same
    dependency-free validator the other CI schema jobs use;
-5. shuts the server down cleanly, boots a second server on the same
+6. shuts the server down cleanly, boots a second server on the same
    cache directory and requires it to serve the same bytes from disk.
 
 Exit 0 on success, 1 with a reason otherwise.
@@ -26,6 +29,8 @@ import argparse
 import contextlib
 import hashlib
 import json
+import re
+import socket
 import sys
 import tempfile
 import urllib.error
@@ -89,6 +94,74 @@ def main(argv: Optional[list] = None) -> int:
     return 0
 
 
+class RawConnection:
+    """HTTP/1.1 over a bare socket: requests leave as given, responses
+    are read by their ``Content-Length``."""
+
+    def __init__(self, port: int, timeout: float = 120) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port),
+                                             timeout=timeout)
+        self._buf = b""
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def _fill(self) -> bool:
+        try:
+            chunk = self.sock.recv(65536)
+        except ConnectionResetError:
+            chunk = b""
+        self._buf += chunk
+        return bool(chunk)
+
+    def response(self) -> Optional[Tuple[int, bytes]]:
+        """The next response's status and body; None once the server
+        has closed the connection.
+
+        Before it has read a valid HTTP version the stdlib answers an
+        error with its HTML page alone and then closes; the status is
+        taken from that page.
+        """
+        while len(self._buf) < 5 or (self._buf.startswith(b"HTTP/")
+                                     and b"\r\n\r\n" not in self._buf):
+            if not self._fill():
+                break
+        if not self._buf.startswith(b"HTTP/"):
+            while self._fill():
+                pass
+            body, self._buf = self._buf, b""
+            code = re.search(rb"Error code: (\d+)", body)
+            return (int(code.group(1)), body) if code else None
+        if b"\r\n\r\n" not in self._buf:
+            return None
+        head, self._buf = self._buf.split(b"\r\n\r\n", 1)
+        lines = head.decode("latin-1").split("\r\n")
+        length = 0
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        while len(self._buf) < length:
+            if not self._fill():
+                return None
+        body, self._buf = self._buf[:length], self._buf[length:]
+        return int(lines[0].split()[1]), body
+
+    def request(self, method: str, path: str, payload: Optional[Dict] = None
+                ) -> Optional[Tuple[int, bytes]]:
+        """Send one keep-alive request; its response as :meth:`response`."""
+        body = b"" if payload is None else json.dumps(payload).encode()
+        head = f"{method} {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        if payload is not None:
+            head += (f"Content-Type: application/json\r\n"
+                     f"Content-Length: {len(body)}\r\n")
+        self.send(head.encode() + b"\r\n" + body)
+        return self.response()
+
+    def close(self) -> None:
+        self.sock.close()
+
+
 @contextlib.contextmanager
 def _server(cache_dir: str) -> Iterator[str]:
     """A server on ``cache_dir`` for the block; yields its base URL."""
@@ -123,8 +196,42 @@ def _round_trip(base: str, what: str) -> Optional[Dict]:
     return cell
 
 
+def _raw_socket(base: str, served: str) -> bool:
+    """Step 4: True, or False after printing what went wrong."""
+    port = int(base.rsplit(":", 1)[1])
+    bad = RawConnection(port)
+    try:
+        bad.send(b"GET /v1/healthz extra HTTP/1.1\r\n")
+        answer = bad.response()
+    finally:
+        bad.close()
+    if answer is None or answer[0] != 400:
+        print(f"smoke: a malformed request line got {answer}, not 400")
+        return False
+    conn = RawConnection(port)
+    try:
+        posted = conn.request("POST", "/v1/batch", {"cells": [SMOKE_CELL]})
+        if posted is None or posted[0] != 202:
+            print(f"smoke: raw POST /v1/batch failed: {posted}")
+            return False
+        job_id = json.loads(posted[1])["job"]
+        got = conn.request("GET", f"/v1/batch/{job_id}?wait=90")
+    finally:
+        conn.close()
+    if got is None or got[0] != 200:
+        print(f"smoke: raw GET on the same connection failed: {got}")
+        return False
+    cell = json.loads(got[1])["cells"][0]
+    if cell.get("result") is None or _sha(cell["result"]) != served:
+        print(f"smoke: raw keep-alive pair served other bytes: {cell}")
+        return False
+    print("smoke: raw socket ok (malformed request line -> 400, keep-alive "
+          "POST+GET served the same bytes)")
+    return True
+
+
 def _smoke(base: str, args: argparse.Namespace) -> Optional[str]:
-    """Steps 1-4 on a fresh server: the served result's digest, or
+    """Steps 1-5 on a fresh server: the served result's digest, or
     None after printing why a step failed."""
     status, health = _request(base, "/v1/healthz")
     if status != 200 or health.get("status") != "ok":
@@ -168,6 +275,8 @@ def _smoke(base: str, args: argparse.Namespace) -> Optional[str]:
               f"{_sha(again['result'])} != {served}")
         return None
     print("smoke: repeat batch served bit-identical from the cache")
+    if not _raw_socket(base, served):
+        return None
 
     status, stats = _request(base, "/v1/stats")
     if status != 200:
