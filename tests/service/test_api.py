@@ -102,6 +102,38 @@ def test_semantic_validation_names_the_cell(service):
     assert any("$.cells[0].config" in e for e in body["errors"])
 
 
+def test_a_batch_posted_again_is_not_parsed_again(service, monkeypatch):
+    """The same body bytes reuse the specs planned the first time; a
+    body that fails is checked every time, and one larger than
+    ``BATCH_MEMO_MAX_BYTES`` is never remembered."""
+    from repro.service import app
+    app._plan_batch.cache_clear()
+    parsed = []
+    real = app.parse_batch
+    monkeypatch.setattr(app, "parse_batch",
+                        lambda payload: parsed.append(1) or real(payload))
+    _server, client = service
+    body = json.dumps({"cells": [dict(CELL, seed=31337)]}).encode()
+    jobs = []
+    for _ in range(2):
+        status, posted = client.post_raw("/v1/batch", body)
+        assert status == 202, posted
+        jobs.append(posted["job"])
+    assert len(parsed) == 1 and jobs[0] != jobs[1]
+    status, job = client.get(f"/v1/batch/{jobs[1]}?wait=60")
+    assert job["cells"][0]["status"] == "done"
+
+    bad = json.dumps({"cells": [dict(CELL, policy="magic")]}).encode()
+    for _ in range(2):
+        assert client.post_raw("/v1/batch", bad)[0] == 400
+    assert len(parsed) == 3
+
+    padded = body + b" " * app.BATCH_MEMO_MAX_BYTES
+    for _ in range(2):
+        assert client.post_raw("/v1/batch", padded)[0] == 202
+    assert len(parsed) == 5
+
+
 @pytest.mark.parametrize("scale", ["0", "-1", "1e999", "-1e999", "NaN"])
 def test_scale_must_be_positive_and_finite(service, scale):
     """The CLI's size-factor check, as a 400 naming the cell (an
