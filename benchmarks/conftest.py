@@ -8,23 +8,24 @@ simulations behind them are expensive, so:
   the interesting output is the regenerated rows/series printed to the
   terminal (and the shape assertions), not sub-millisecond timing noise.
 
-Set ``REPRO_NO_CACHE=1`` to force fresh simulations, and ``REPRO_JOBS=N``
-to fan cache misses out over N worker processes (the session runner
-picks it up automatically; a cold cache benefits enormously).
+Point ``REPRO_CACHE_DIR`` at a fresh directory to force fresh
+simulations, and set ``REPRO_JOBS=N`` to fan cache misses out over N
+worker processes (the session executor picks it up automatically; a
+cold cache benefits enormously).
 """
 
 import pytest
 
-from repro.harness.runner import Runner
+from repro.harness.executor import Executor
 
 
 @pytest.fixture(scope="session")
-def runner():
-    """Shared caching runner for the whole benchmark session.
+def executor():
+    """Shared caching executor for the whole benchmark session.
 
     Honors ``$REPRO_JOBS`` for parallel cache-miss execution.
     """
-    return Runner()
+    return Executor()
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -16,20 +16,22 @@ from conftest import run_once
 from repro.sim.config import DEFAULT_CONFIG
 
 
-def _speedup(runner, workload, policy, **kwargs):
-    base = runner.run(workload, "all-near", **kwargs)
-    return runner.run(workload, policy, **kwargs).speedup_over(base)
+def _speedup(executor, workload, policy, **kwargs):
+    base, other = executor.run_many(
+        [executor.make_spec(workload, pol, **kwargs)
+         for pol in ("all-near", policy)])
+    return other.speedup_over(base)
 
 
-def test_ablation_amo_buffer(benchmark, runner):
+def test_ablation_amo_buffer(benchmark, executor):
     """Removing the HN AMO buffer must hurt far execution on the
     buffer-friendly contended kernels."""
     def study():
         no_buffer = DEFAULT_CONFIG.replace(amo_buffer_entries=0)
         rows = {}
         for wl in ("HIST", "RSOR"):
-            rows[wl] = (_speedup(runner, wl, "unique-near"),
-                        _speedup(runner, wl, "unique-near",
+            rows[wl] = (_speedup(executor, wl, "unique-near"),
+                        _speedup(executor, wl, "unique-near",
                                  config=no_buffer))
         return rows
 
@@ -43,15 +45,15 @@ def test_ablation_amo_buffer(benchmark, runner):
     assert rows["HIST"][0] > rows["HIST"][1] + 0.1
 
 
-def test_ablation_inval_ack_routing(benchmark, runner):
+def test_ablation_inval_ack_routing(benchmark, executor):
     """Direct-to-requestor invalidation acks cheapen near upgrades, so
     far-for-SC policies lose ground relative to the CHI-faithful mode."""
     def study():
         direct = DEFAULT_CONFIG.replace(direct_inval_acks=True)
         rows = {}
         for wl in ("KCOR", "SPT", "CC"):
-            rows[wl] = (_speedup(runner, wl, "unique-near"),
-                        _speedup(runner, wl, "unique-near", config=direct))
+            rows[wl] = (_speedup(executor, wl, "unique-near"),
+                        _speedup(executor, wl, "unique-near", config=direct))
         return rows
 
     rows = run_once(benchmark, study)

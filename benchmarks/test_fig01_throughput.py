@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.harness.figures import figure1
 
 
-def test_fig01_shared_counter_throughput(benchmark, runner):
-    data = run_once(benchmark, figure1, runner)
+def test_fig01_shared_counter_throughput(benchmark, executor):
+    data = run_once(benchmark, figure1, executor)
     print("\n" + data.render())
 
     near = data.series["Atomic-Near"]

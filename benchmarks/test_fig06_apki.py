@@ -7,8 +7,8 @@ from repro.workloads import TABLE_III_CODES, WORKLOADS
 from repro.workloads.base import classify_apki
 
 
-def test_fig06_apki(benchmark, runner):
-    data = run_once(benchmark, figure6, runner)
+def test_fig06_apki(benchmark, executor):
+    data = run_once(benchmark, figure6, executor)
     print("\n" + data.render())
 
     apki = {wl: load + store for wl, load, store in

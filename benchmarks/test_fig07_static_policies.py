@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.harness.figures import figure7
 
 
-def test_fig07_static_policies(benchmark, runner):
-    grid = run_once(benchmark, figure7, runner)
+def test_fig07_static_policies(benchmark, executor):
+    grid = run_once(benchmark, figure7, executor)
     print("\n" + grid.render())
 
     gm = grid.geomeans

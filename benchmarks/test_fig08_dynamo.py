@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.harness.figures import figure8
 
 
-def test_fig08_dynamo_predictors(benchmark, runner):
-    grid = run_once(benchmark, figure8, runner)
+def test_fig08_dynamo_predictors(benchmark, executor):
+    grid = run_once(benchmark, figure8, executor)
     print("\n" + grid.render())
 
     gm = grid.geomeans

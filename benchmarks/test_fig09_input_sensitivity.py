@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.harness.figures import figure9
 
 
-def test_fig09_input_sensitivity(benchmark, runner):
-    data = run_once(benchmark, figure9, runner)
+def test_fig09_input_sensitivity(benchmark, executor):
+    data = run_once(benchmark, figure9, executor)
     print("\n" + data.render())
 
     un = dict(zip(data.xs, data.series["unique-near"]))

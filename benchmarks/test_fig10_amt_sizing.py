@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.harness.figures import FIG10_COUNTERS, FIG10_ENTRIES, figure10
 
 
-def test_fig10_amt_sizing(benchmark, runner):
-    data = run_once(benchmark, figure10, runner)
+def test_fig10_amt_sizing(benchmark, executor):
+    data = run_once(benchmark, figure10, executor)
     print("\n" + data.render())
 
     values = dict(zip(data.xs, data.series["geomean-speedup"]))

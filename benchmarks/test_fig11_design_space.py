@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.harness.figures import figure11
 
 
-def test_fig11_design_space(benchmark, runner):
-    data = run_once(benchmark, figure11, runner)
+def test_fig11_design_space(benchmark, executor):
+    data = run_once(benchmark, figure11, executor)
     print("\n" + data.render())
 
     systems = data.xs

@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.harness.figures import energy_study
 
 
-def test_sec6e_energy(benchmark, runner):
-    data = run_once(benchmark, energy_study, runner)
+def test_sec6e_energy(benchmark, executor):
+    data = run_once(benchmark, energy_study, executor)
     print("\n" + data.render())
 
     pn_total = dict(zip(data.xs, data.series["dynamo-reuse-pn/total"]))

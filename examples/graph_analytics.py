@@ -10,7 +10,7 @@ observation — and how the predictor tracks the winner without profiling.
 Run:  python examples/graph_analytics.py
 """
 
-from repro.harness.runner import Runner, speedups_vs_baseline
+from repro.harness import Executor, speedups_vs_baseline
 
 WORKLOADS = ["BFS", "CC", "GME", "SPT"]
 POLICIES = ["all-near", "unique-near", "present-near", "dirty-near",
@@ -18,10 +18,10 @@ POLICIES = ["all-near", "unique-near", "present-near", "dirty-near",
 
 
 def main() -> None:
-    runner = Runner()  # shares the on-disk cache with the benchmarks
+    executor = Executor()  # shares the on-disk cache with the benchmarks
     print("Simulating", len(WORKLOADS), "graph workloads x",
           len(POLICIES), "policies (cached runs are instant)...")
-    grid = runner.sweep(WORKLOADS, POLICIES)
+    grid = executor.sweep(WORKLOADS, POLICIES)
     speedups = speedups_vs_baseline(grid)
 
     header = f"{'workload':10} " + " ".join(f"{p[:10]:>11}" for p in POLICIES)

@@ -4,11 +4,12 @@ Commands:
 
 * ``repro list`` — registered workloads and policies.
 * ``repro run WORKLOAD [--policy P] [--threads N] [--scale S] [--input I]
-  [--trace FILE]`` — simulate one cell and print its summary;
+  [--trace FILE [--stamps]]`` — simulate one cell and print its summary;
   ``--trace`` writes a per-event JSONL trace (bypasses the cache).
-* ``repro figure {1,6,7,8,9,10,11,energy} [--jobs N]`` — regenerate a
-  paper figure ("fig7"/"figure7" also accepted); ``--jobs`` fans cache
-  misses out over worker processes (default: ``$REPRO_JOBS`` or serial).
+* ``repro figure {1,6,7,8,9,10,11,energy,blame,txn} [--jobs N]`` —
+  regenerate a paper figure or study ("fig7"/"figure7" also accepted);
+  ``--jobs`` fans cache misses out over worker processes (default:
+  ``$REPRO_JOBS`` or serial).
 * ``repro table {1,2,3,4}`` — print a paper table.
 * ``repro cost [--entries N] [--ways W] [--counter-bits B]`` — AMT
   hardware cost (paper Section VI-G).
@@ -60,8 +61,9 @@ from typing import List, Optional
 
 from repro.core.hardware_cost import amt_cost, l1d_area_ratio
 from repro.core.registry import POLICIES
+from repro.harness.executor import (Executor, ResultStore, env_int,
+                                    execute_spec)
 from repro.harness.figures import FIGURES
-from repro.harness.runner import Runner
 from repro.harness.tables import TABLES
 from repro.sim.config import DEFAULT_CONFIG, PAPER_CONFIG
 from repro.workloads import TABLE_III_CODES, WORKLOADS
@@ -294,16 +296,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                                     SanitizerSink)
 
     config = PAPER_CONFIG if args.paper_system else DEFAULT_CONFIG
-    runner = Runner(config=config, use_cache=not args.no_cache)
+    executor = Executor(store=ResultStore(enabled=not args.no_cache),
+                        config=config)
+    spec = executor.make_spec(args.workload, args.policy,
+                              threads=args.threads, scale=args.scale,
+                              input_name=args.input_name, seed=args.seed)
     if args.trace or args.sanitize:
         # Traced/sanitized runs always simulate: a cached result has no
         # events for the sinks to consume.
-        from repro.harness.executor import execute_spec
         from repro.sim.events import TraceSink
 
-        spec = runner.make_spec(args.workload, args.policy,
-                                threads=args.threads, scale=args.scale,
-                                input_name=args.input_name, seed=args.seed)
         sinks = []
         trace_sink = None
         if args.trace:
@@ -327,9 +329,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  sanitizer: {san_sink.checks} event checks, "
                   f"{san_sink.sweeps} full SWMR sweeps, all clean")
     else:
-        result = runner.run(args.workload, args.policy, threads=args.threads,
-                            scale=args.scale, seed=args.seed,
-                            input_name=args.input_name)
+        result = executor.run(spec)
         print(result.summary())
     print(f"  energy breakdown (nJ): "
           + ", ".join(f"{k}={v:.1f}" for k, v in result.energy.items()))
@@ -339,8 +339,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    data = FIGURES[args.which](runner=Runner(use_cache=not args.no_cache,
-                                             jobs=args.jobs))
+    store = ResultStore(enabled=not args.no_cache)
+    data = FIGURES[args.which](executor=Executor(args.jobs, store))
     print(data.render())
     return 0
 
@@ -523,15 +523,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.harness.executor import ResultStore, default_jobs
     from repro.service.app import serve_forever
 
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        workers = default_jobs()
-        if workers == 1:
-            workers = 4
+    workers = args.workers or env_int("REPRO_JOBS", 4)
     store = ResultStore(args.cache_dir)
     return serve_forever(args.host, args.port, workers, store=store)
 
@@ -544,7 +538,10 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.stamps and not args.trace:
+        parser.error("run: --stamps needs --trace")
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

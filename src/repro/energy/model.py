@@ -78,8 +78,8 @@ class EnergySink(Sink):
     Energy is a pure function of the event *counts* the bus's fused
     stats and traffic stores already aggregate, so this sink needs no
     per-event dispatch (``wants_events = False``) — it derives the
-    breakdown once at ``finalize`` time, exactly as the runner used to
-    by calling :func:`attach_energy` after the simulation.
+    breakdown once at ``finalize`` time, exactly as calling
+    :func:`attach_energy` after the simulation would.
     """
 
     wants_events = False

@@ -20,10 +20,13 @@ The harness splits an experiment into three concerns:
   millions of distinct specs, all memo traffic is thread-safe, and an
   optional byte budget (``$REPRO_CACHE_BYTES``) evicts
   least-recently-used entries from disk after every write.
-* **Execution** — :class:`Executor` deduplicates a batch's misses by
-  cache key and groups them by everything but the policy.  Each group
-  runs through :func:`iter_group`, which simulates one cell per
-  distinct decision sequence: the other policies of the group ride
+* **Execution** — :class:`Executor` is the harness's one way to run
+  cells: it plans them against its system config (``make_spec``) and
+  runs one cell, a batch or a workload x policy grid (``run``,
+  ``run_many``, ``sweep``) through one path.  It deduplicates a batch's
+  misses by cache key and groups them by everything but the policy.
+  Each group runs through :func:`iter_group`, which simulates one cell
+  per distinct decision sequence: the other policies of the group ride
   along as shadows and take the leader's result when they agreed with
   its every placement decision (DESIGN.md §9).  At ``jobs == 1`` the
   groups run in order in this process; otherwise they fan out over a
@@ -56,7 +59,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import Connection
 from typing import (IO, Callable, Dict, Iterable, Iterator, List, Literal,
-                    Optional, Sequence, Tuple, Union, overload)
+                    Optional, Sequence, Tuple, TypeVar, Union, overload)
 
 from repro.energy.model import EnergySink
 from repro.noc.message import MsgType, TrafficMeter
@@ -87,49 +90,26 @@ def default_cache_dir() -> str:
                           os.path.join(os.getcwd(), ".repro_cache"))
 
 
-def default_memo_entries() -> int:
-    """Memo LRU capacity: ``$REPRO_MEMO_ENTRIES`` or 4096."""
-    raw = os.environ.get("REPRO_MEMO_ENTRIES", "").strip()
+_D = TypeVar("_D")
+
+
+def env_int(name: str, default: _D) -> Union[int, _D]:
+    """``$name`` as a positive integer, or ``default`` when unset or blank.
+
+    Raises:
+        ValueError: naming ``name``, when the value is not an int >= 1.
+    """
+    raw = os.environ.get(name, "").strip()
     if not raw:
-        return DEFAULT_MEMO_ENTRIES
+        return default
     try:
-        entries = int(raw)
-    except ValueError:
-        raise ValueError("REPRO_MEMO_ENTRIES must be a positive integer, "
-                         f"got {raw!r}") from None
-    if entries < 1:
-        raise ValueError(f"REPRO_MEMO_ENTRIES must be >= 1, got {entries}")
-    return entries
-
-
-def default_byte_budget() -> Optional[int]:
-    """On-disk cache budget: ``$REPRO_CACHE_BYTES`` or None (unbounded)."""
-    raw = os.environ.get("REPRO_CACHE_BYTES", "").strip()
-    if not raw:
-        return None
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError("REPRO_CACHE_BYTES must be a positive integer, "
-                         f"got {raw!r}") from None
-    if budget < 1:
-        raise ValueError(f"REPRO_CACHE_BYTES must be >= 1, got {budget}")
-    return budget
-
-
-def default_jobs() -> int:
-    """Worker count when unspecified: ``$REPRO_JOBS`` or 1 (serial)."""
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(
-            f"REPRO_JOBS must be a positive integer, got {raw!r}") from None
-    if jobs < 1:
-        raise ValueError(f"REPRO_JOBS must be >= 1, got {jobs}")
-    return jobs
+            f"{name} must be a positive integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 class CacheSchemaError(ValueError):
@@ -351,12 +331,13 @@ class ResultStore:
         self.cache_dir = cache_dir or default_cache_dir()
         self.enabled = enabled
         self.memo_entries = (memo_entries if memo_entries is not None
-                             else default_memo_entries())
+                             else env_int("REPRO_MEMO_ENTRIES",
+                                          DEFAULT_MEMO_ENTRIES))
         if self.memo_entries < 1:
             raise ValueError(
                 f"memo_entries must be >= 1, got {self.memo_entries}")
         self.byte_budget = (byte_budget if byte_budget is not None
-                            else default_byte_budget())
+                            else env_int("REPRO_CACHE_BYTES", None))
         self._memo: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         if self.enabled:
@@ -793,11 +774,13 @@ class ProcessCompute:
 
 
 class Executor:
-    """Runs cells over a result store, one cell or one batch at a time.
+    """Plans cells against ``config`` and runs them over a result store.
 
-    A batch's misses are deduplicated and grouped (:func:`_plan_misses`)
-    and each result is stored as soon as it is known, so a merged cell
-    lands right after its leader.  At ``jobs == 1`` the groups run in
+    ``jobs`` defaults to ``$REPRO_JOBS`` or 1; a ``ResultStore(enabled=
+    False)`` runs every cell afresh and keeps nothing.  A batch's misses
+    are deduplicated and grouped (:func:`_plan_misses`) and each result
+    is stored as soon as it is known, so a merged cell lands right after
+    its leader.  At ``jobs == 1``, or for a lone miss, the groups run in
     order in this process.  Otherwise they run on a
     :class:`ProcessCompute` of ``jobs`` workers, made on the batch's
     first miss and shut down when the batch returns, one task per group;
@@ -805,22 +788,46 @@ class Executor:
     parts and merges happen within a part only.
     """
 
-    def __init__(self, jobs: int,
-                 store: Optional[ResultStore] = None) -> None:
+    def __init__(self, jobs: Optional[int] = None,
+                 store: Optional[ResultStore] = None,
+                 config: SystemConfig = DEFAULT_CONFIG) -> None:
+        if jobs is None:
+            jobs = env_int("REPRO_JOBS", 1)
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.store = store if store is not None else ResultStore()
+        self.config = config
+
+    def make_spec(self, workload: str, policy: str,
+                  threads: Optional[int] = None, scale: float = 1.0,
+                  seed: int = 0, input_name: Optional[str] = None,
+                  config: Optional[SystemConfig] = None) -> RunSpec:
+        """Plan one cell against this executor's (or an override) config."""
+        return make_spec(workload, policy, threads=threads, scale=scale,
+                         seed=seed, input_name=input_name,
+                         config=config or self.config)
 
     def run(self, spec: RunSpec) -> SimulationResult:
-        cached = self.store.load(spec)
-        if cached is not None:
-            return cached
-        result = execute_spec(spec)
-        self.store.store(spec, result)
-        return result
+        """Run one cell (or return its stored result)."""
+        return self.run_many([spec])[0]
+
+    def sweep(self, workloads: Iterable[str], policies: Iterable[str],
+              **kwargs) -> Dict[str, Dict[str, SimulationResult]]:
+        """Run a workload x policy grid; returns results[workload][policy].
+
+        ``kwargs`` go to :meth:`make_spec` for every cell.
+        """
+        cells = [(wl, pol) for wl in workloads for pol in policies]
+        results = self.run_many(
+            [self.make_spec(wl, pol, **kwargs) for wl, pol in cells])
+        grid: Dict[str, Dict[str, SimulationResult]] = {}
+        for (wl, pol), result in zip(cells, results):
+            grid.setdefault(wl, {})[pol] = result
+        return grid
 
     def run_many(self, specs: Iterable[RunSpec]) -> List[SimulationResult]:
+        """Run a batch of cells; results come back in spec order."""
         specs = list(specs)
         results, groups = _plan_misses(self.store, specs)
         progress = SweepProgress(sum(len(group) for group in groups))
@@ -834,7 +841,8 @@ class Executor:
     def _simulate(self, groups: List[_Group]
                   ) -> Iterator[Tuple[_Member, SimulationResult]]:
         """Yield ``((spec, idxs), result)`` per miss as it completes."""
-        if self.jobs == 1 or not groups:
+        # A pool for a lone miss would only add its start-up.
+        if self.jobs == 1 or sum(map(len, groups)) < 2:
             for group in groups:
                 for j, result in iter_group([spec for spec, _ in group]):
                     yield group[j], result
@@ -853,8 +861,5 @@ class Executor:
             compute.shutdown()
 
 
-def make_executor(jobs: Optional[int] = None,
-                  store: Optional[ResultStore] = None):
-    """Executor for ``jobs`` workers (None -> ``$REPRO_JOBS`` -> serial)."""
-    jobs = jobs if jobs is not None else default_jobs()
-    return Executor(jobs, store)
+#: ``make_executor(jobs, store)``: the executor under its factory name.
+make_executor = Executor

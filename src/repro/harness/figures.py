@@ -1,15 +1,15 @@
 """Figure drivers: regenerate every figure of the paper's evaluation.
 
 Each ``figureN`` function runs the simulations that figure needs (through
-the caching :class:`~repro.harness.runner.Runner`) and returns a
+the caching :class:`~repro.harness.executor.Executor`) and returns a
 structured result object with the same series/rows the paper plots, plus
 a ``render()`` that prints them.  The benchmark suite calls these drivers
 and asserts the paper's qualitative shapes on the returned data.
 
 Drivers plan their whole grid as :class:`~repro.harness.executor.RunSpec`
-batches and submit them through ``Runner.run_specs`` / ``Runner.sweep``,
-so a runner constructed with ``jobs > 1`` (or ``$REPRO_JOBS``) fans the
-figure's cache misses out over worker processes.
+batches and submit them through ``Executor.run_many`` / ``Executor.sweep``,
+so an executor constructed with ``jobs > 1`` (or ``$REPRO_JOBS``) fans
+the figure's cache misses out over worker processes.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.registry import STATIC_POLICY_NAMES
 from repro.energy.model import energy_breakdown
-from repro.harness.report import (apki_classes, format_series, format_table,
-                                  set_geomeans)
-from repro.harness.runner import Runner, speedups_vs_baseline
+from repro.harness.executor import Executor, execute_spec
+from repro.harness.report import (apki_classes, best_static_speedups,
+                                  format_series, format_table, set_geomeans,
+                                  speedups_vs_baseline)
 from repro.sim.config import SystemConfig
 from repro.workloads import TABLE_III_CODES, make_workload
 
@@ -94,18 +95,19 @@ FIG1_SERIES = (
 )
 
 
-def figure1(runner: Optional[Runner] = None,
+def figure1(executor: Optional[Executor] = None,
             threads: Sequence[int] = FIG1_THREADS) -> FigureData:
     """Fig. 1: near vs far AMO throughput on one shared counter.
 
     Three mechanisms: Atomic-Near (stadd, All Near), AtomicLoad-Far
     (ldadd, Unique Near) and AtomicStore-Far (stadd, Unique Near).
     """
-    runner = runner or Runner()
-    threads = [t for t in threads if t <= runner.config.num_cores]
-    specs = [runner.make_spec("AMOCOST", policy, threads=t, input_name=inp)
+    executor = executor or Executor()
+    threads = [t for t in threads if t <= executor.config.num_cores]
+    specs = [executor.make_spec("AMOCOST", policy, threads=t,
+                                input_name=inp)
              for _, policy, inp in FIG1_SERIES for t in threads]
-    results = iter(runner.run_specs(specs))
+    results = iter(executor.run_many(specs))
     series = {
         label: [next(results).throughput_per_kilocycle(
                     make_workload("AMOCOST", t, input_name=inp).total_updates)
@@ -117,13 +119,13 @@ def figure1(runner: Optional[Runner] = None,
         notes="updates per kilocycle; higher is better")
 
 
-def figure6(runner: Optional[Runner] = None,
+def figure6(executor: Optional[Executor] = None,
             workloads: Sequence[str] = tuple(TABLE_III_CODES)) -> FigureData:
     """Fig. 6: committed AMOs per kilo-instruction per workload, split
     into AtomicLoad and AtomicStore, under the All Near baseline."""
-    runner = runner or Runner()
-    results = runner.run_specs(
-        [runner.make_spec(code, BASELINE) for code in workloads])
+    executor = executor or Executor()
+    results = executor.run_many(
+        [executor.make_spec(code, BASELINE) for code in workloads])
     loads, stores = [], []
     for res in results:
         total = res.stats.amo_loads + res.stats.amo_stores
@@ -142,11 +144,11 @@ def figure6(runner: Optional[Runner] = None,
 
 
 def _speedup_grid(name: str, policies: List[str],
-                  runner: Optional[Runner],
+                  executor: Optional[Executor],
                   workloads: Sequence[str],
                   notes: str = "") -> SpeedupGrid:
-    runner = runner or Runner()
-    grid = runner.sweep(workloads, [BASELINE] + policies)
+    executor = executor or Executor()
+    grid = executor.sweep(workloads, [BASELINE] + policies)
     speedups = speedups_vs_baseline(grid, BASELINE)
     classes = apki_classes({wl: grid[wl][BASELINE] for wl in workloads})
     for wl in speedups:
@@ -157,31 +159,30 @@ def _speedup_grid(name: str, policies: List[str],
     return data
 
 
-def figure7(runner: Optional[Runner] = None,
+def figure7(executor: Optional[Executor] = None,
             workloads: Sequence[str] = tuple(TABLE_III_CODES)) -> SpeedupGrid:
     """Fig. 7: static-policy speed-ups over All Near + Best Static bar."""
     policies = [p for p in STATIC_POLICY_NAMES if p != BASELINE]
     data = _speedup_grid("Figure 7: static AMO policies (vs All Near)",
-                         policies, runner, workloads,
+                         policies, executor, workloads,
                          notes="best-static = per-workload max over the "
                                "static policies")
-    for wl in data.speedups:
-        data.speedups[wl]["best-static"] = max(data.speedups[wl].values())
+    for wl, best in best_static_speedups(data.speedups).items():
+        data.speedups[wl]["best-static"] = best
     data.policies = policies + ["best-static"]
     data.compute_geomeans()
     return data
 
 
-def figure8(runner: Optional[Runner] = None,
+def figure8(executor: Optional[Executor] = None,
             workloads: Sequence[str] = tuple(TABLE_III_CODES)) -> SpeedupGrid:
     """Fig. 8: DynAMO predictor speed-ups over All Near + Best Static."""
     static = [p for p in STATIC_POLICY_NAMES if p != BASELINE]
     data = _speedup_grid("Figure 8: DynAMO predictors (vs All Near)",
-                         static + DYNAMO_POLICIES, runner, workloads)
-    for wl in data.speedups:
-        best = max(data.speedups[wl][p] for p in static)
-        for p in static:
-            del data.speedups[wl][p]
+                         static + DYNAMO_POLICIES, executor, workloads)
+    statics = {wl: {p: row.pop(p) for p in static}
+               for wl, row in data.speedups.items()}
+    for wl, best in best_static_speedups(statics).items():
         data.speedups[wl]["best-static"] = best
     data.policies = DYNAMO_POLICIES + ["best-static"]
     data.compute_geomeans()
@@ -192,19 +193,19 @@ def figure8(runner: Optional[Runner] = None,
 FIG9_INPUTS = {"SPMV": ("JP", "rma10"), "HIST": ("IMG", "BMP24")}
 
 
-def figure9(runner: Optional[Runner] = None) -> FigureData:
+def figure9(executor: Optional[Executor] = None) -> FigureData:
     """Fig. 9: input sensitivity of SPMV and HIST.
 
     Unique Near wins on the streaming inputs (JP / uniform image) and
     loses on the locality inputs (rma10 / skewed image), while
     DynAMO-Reuse-PN adapts to both.
     """
-    runner = runner or Runner()
+    executor = executor or Executor()
     cells = [(wl, inp) for wl, inputs in FIG9_INPUTS.items()
              for inp in inputs]
     policies = (BASELINE, "unique-near", "dynamo-reuse-pn")
-    results = iter(runner.run_specs(
-        [runner.make_spec(wl, pol, input_name=inp)
+    results = iter(executor.run_many(
+        [executor.make_spec(wl, pol, input_name=inp)
          for wl, inp in cells for pol in policies]))
     xs, un, dyn = [], [], []
     for wl, inp in cells:
@@ -228,7 +229,7 @@ FIG10_COUNTERS = (8, 16, 32, 64, 128)
 FIG10_WORKLOADS = ("GME", "KCOR", "SPT", "HIST", "RSOR", "SPMV")
 
 
-def figure10(runner: Optional[Runner] = None,
+def figure10(executor: Optional[Executor] = None,
              workloads: Sequence[str] = FIG10_WORKLOADS) -> FigureData:
     """Fig. 10: DynAMO-Reuse-PN sensitivity to AMT sizing.
 
@@ -238,8 +239,8 @@ def figure10(runner: Optional[Runner] = None,
     """
     from repro.harness.report import geomean
 
-    runner = runner or Runner()
-    cfg = runner.config
+    executor = executor or Executor()
+    cfg = executor.config
     points: List = []
     for entries in FIG10_ENTRIES:
         points.append((f"entries={entries}", cfg.replace(amt_entries=entries)))
@@ -251,8 +252,8 @@ def figure10(runner: Optional[Runner] = None,
 
     # One batch over the whole (sweep point x workload x policy) space:
     # the parallel executor sees every miss at once.
-    results = iter(runner.run_specs(
-        [runner.make_spec(wl, pol, config=config)
+    results = iter(executor.run_many(
+        [executor.make_spec(wl, pol, config=config)
          for _label, config in points
          for wl in workloads
          for pol in (BASELINE, "dynamo-reuse-pn")]))
@@ -289,7 +290,7 @@ def fig11_systems(cfg: SystemConfig) -> Dict[str, SystemConfig]:
 FIG11_WORKLOADS = ("RAY", "WAT", "VOL", "FLU", "HIST", "SPMV", "RSOR", "GME")
 
 
-def figure11(runner: Optional[Runner] = None,
+def figure11(executor: Optional[Executor] = None,
              workloads: Sequence[str] = FIG11_WORKLOADS) -> FigureData:
     """Fig. 11: DynAMO-Reuse-PN on different systems.
 
@@ -297,13 +298,13 @@ def figure11(runner: Optional[Runner] = None,
     paper finds gains grow with hop cost and are insensitive to memory
     latency.  Values are per-APKI-set geomeans of speed-up over All Near.
     """
-    runner = runner or Runner()
-    systems = fig11_systems(runner.config)
+    executor = executor or Executor()
+    systems = fig11_systems(executor.config)
     sets: Dict[str, List[float]] = {"L": [], "M": [], "H": []}
     xs = list(systems)
     policies = (BASELINE, "dynamo-reuse-pn")
-    results = iter(runner.run_specs(
-        [runner.make_spec(wl, pol, config=config)
+    results = iter(executor.run_many(
+        [executor.make_spec(wl, pol, config=config)
          for config in systems.values()
          for wl in workloads for pol in policies]))
     for _name in systems:
@@ -325,7 +326,7 @@ def figure11(runner: Optional[Runner] = None,
         notes=f"representative workloads: {list(workloads)}")
 
 
-def energy_study(runner: Optional[Runner] = None,
+def energy_study(executor: Optional[Executor] = None,
                  workloads: Sequence[str] = tuple(TABLE_III_CODES)) -> FigureData:
     """Section VI-E: dynamic energy of All Near / Unique Near / Reuse-PN.
 
@@ -334,9 +335,9 @@ def energy_study(runner: Optional[Runner] = None,
     """
     from repro.harness.report import geomean
 
-    runner = runner or Runner()
+    executor = executor or Executor()
     policies = ["unique-near", "dynamo-reuse-pn"]
-    grid = runner.sweep(workloads, [BASELINE] + policies)
+    grid = executor.sweep(workloads, [BASELINE] + policies)
     classes = apki_classes({wl: grid[wl][BASELINE] for wl in workloads})
     xs = ["L", "M", "H"]
     series: Dict[str, List[float]] = {}
@@ -369,7 +370,7 @@ def energy_study(runner: Optional[Runner] = None,
 BLAME_WORKLOADS = ("HIST", "SPMV", "RSOR", "GME")
 
 
-def blame_study(runner: Optional[Runner] = None,
+def blame_study(executor: Optional[Executor] = None,
                 workloads: Sequence[str] = BLAME_WORKLOADS) -> FigureData:
     """Cycle-blame attribution: where does DynAMO's speed-up come from?
 
@@ -378,11 +379,10 @@ def blame_study(runner: Optional[Runner] = None,
     touch the cache) and reports the ``repro diff`` delta attribution:
     the speed-up, the fraction of the cycle delta attributed to *named*
     blame categories (the acceptance bar is >= 90%), and the category
-    explaining most of the delta.  The ``runner`` argument only supplies
+    explaining most of the delta.  The ``executor`` argument only supplies
     the system config; results are not cached.
     """
-    runner = runner or Runner()
-    from repro.harness.executor import make_spec
+    executor = executor or Executor()
     from repro.obs.attribution.report import diff_payload, diff_specs
 
     xs, speedup, attributed = [], [], []
@@ -390,10 +390,9 @@ def blame_study(runner: Optional[Runner] = None,
     # The golden-corpus grid shape (t8, half scale) keeps the uncached
     # instrumented runs CI-sized.
     for wl in workloads:
-        spec_a = make_spec(wl, BASELINE, threads=8, scale=0.5,
-                           config=runner.config)
-        spec_b = make_spec(wl, "dynamo-reuse-pn", threads=8, scale=0.5,
-                           config=runner.config)
+        spec_a = executor.make_spec(wl, BASELINE, threads=8, scale=0.5)
+        spec_b = executor.make_spec(wl, "dynamo-reuse-pn", threads=8,
+                                    scale=0.5)
         res_a, res_b = diff_specs(spec_a, spec_b)
         payload = diff_payload(res_a, spec_a, res_b, spec_b)
         xs.append(wl)
@@ -419,7 +418,7 @@ TXN_FIGURE_INPUTS = ("zipf-0.5", "zipf-0.8", "zipf-1.1", "zipf-1.4")
 TXN_FIGURE_POLICIES = (BASELINE, "present-near", "dynamo-reuse-pn")
 
 
-def txn_study(runner: Optional[Runner] = None,
+def txn_study(executor: Optional[Executor] = None,
               workload: str = "KVS",
               inputs: Sequence[str] = TXN_FIGURE_INPUTS,
               policies: Sequence[str] = TXN_FIGURE_POLICIES) -> FigureData:
@@ -431,11 +430,10 @@ def txn_study(runner: Optional[Runner] = None,
     series per policy: committed-transaction throughput per kilocycle
     and the p99 lock-acquisition latency.  Steeper exponents pile the
     lock traffic onto the hottest keys, which is where placement policy
-    moves the tail.  The ``runner`` argument only supplies the system
+    moves the tail.  The ``executor`` argument only supplies the system
     config.
     """
-    runner = runner or Runner()
-    from repro.harness.executor import execute_spec, make_spec
+    executor = executor or Executor()
     from repro.obs.histogram import HistogramSink, histograms_from_metadata
     from repro.workloads.txn import alpha_from_input
 
@@ -446,8 +444,8 @@ def txn_study(runner: Optional[Runner] = None,
     for policy in policies:
         throughput, p99 = [], []
         for inp in inputs:
-            spec = make_spec(workload, policy, threads=8, scale=0.5,
-                             input_name=inp, config=runner.config)
+            spec = executor.make_spec(workload, policy, threads=8,
+                                      scale=0.5, input_name=inp)
             result = execute_spec(spec, extra_sinks=(HistogramSink(),))
             wl = make_workload(workload, 8, scale=0.5, input_name=inp)
             throughput.append(

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,7 +50,7 @@ from repro.harness.executor import (CACHE_VERSION, Executor,
                                     ProcessCompute, ResultStore, RunSpec,
                                     execute_spec, make_spec,
                                     serialize_result)
-from repro.sim.events import Event, Sink
+from repro.sim.events import TraceSink
 from repro.sim.results import SimulationResult
 from repro.workloads import MICRO_SWEEP_CODES, TABLE_III_CODES, TXN_CODES
 
@@ -78,24 +79,21 @@ def golden_codes() -> List[str]:
     return list(TABLE_III_CODES) + list(TXN_CODES) + list(MICRO_SWEEP_CODES)
 
 
-class TraceDigestSink(Sink):
-    """Hashes the event stream exactly as ``TraceSink`` would write it.
+class Sha256Writer(io.TextIOBase):
+    """A text stream that only hashes what is written to it.
 
-    Subscribing this sink activates per-event dispatch, so the digest
-    covers the full instrumentation stream without touching disk.  The
-    hashed bytes are line-for-line identical to a ``--trace`` JSONL
-    file, which :mod:`tests.golden` verifies.
+    A :class:`~repro.sim.events.TraceSink` writing here hashes exactly
+    the bytes it would write to a ``--trace`` JSONL file, without
+    touching disk.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._sha = hashlib.sha256()
-        self.events = 0
 
-    def on_event(self, event: Event) -> None:
-        self._sha.update(
-            json.dumps(event.as_dict(), sort_keys=True).encode())
-        self._sha.update(b"\n")
-        self.events += 1
+    def write(self, text: str) -> int:
+        self._sha.update(text.encode())
+        return len(text)
 
     def hexdigest(self) -> str:
         return self._sha.hexdigest()
@@ -135,7 +133,8 @@ def grid_fingerprint(specs: Optional[Sequence[RunSpec]] = None) -> str:
 
 def digest_cell(spec: RunSpec) -> Dict[str, object]:
     """Simulate one cell uncached with the trace hasher attached."""
-    sink = TraceDigestSink()
+    trace = Sha256Writer()
+    sink = TraceSink(trace)
     result = execute_spec(spec, extra_sinks=(sink,))
     return {
         "cycles": result.cycles,
@@ -144,8 +143,8 @@ def digest_cell(spec: RunSpec) -> Dict[str, object]:
         "near_amos": result.stats.near_amos,
         "far_amos": result.stats.far_amos,
         "result_sha256": result_fingerprint(result),
-        "trace_events": sink.events,
-        "trace_sha256": sink.hexdigest(),
+        "trace_events": sink.events_written,
+        "trace_sha256": trace.hexdigest(),
     }
 
 

@@ -30,6 +30,34 @@ def apki_classes(baseline: Mapping[str, SimulationResult]) -> Dict[str, str]:
     return {wl: classify_apki(res.apki) for wl, res in baseline.items()}
 
 
+def speedups_vs_baseline(grid: Mapping[str, Mapping[str, SimulationResult]],
+                         baseline: str = "all-near"
+                         ) -> Dict[str, Dict[str, float]]:
+    """Per-workload speed-ups of each policy over ``baseline``.
+
+    Raises:
+        ValueError: when a workload's row has no ``baseline`` entry —
+            the grid was swept without the baseline policy.
+    """
+    out: Dict[str, Dict[str, float]] = {}
+    for wl, by_policy in grid.items():
+        base = by_policy.get(baseline)
+        if base is None:
+            raise ValueError(
+                f"workload {wl!r} has no {baseline!r} result to normalize "
+                f"against (policies present: {sorted(by_policy)})")
+        out[wl] = {pol: res.speedup_over(base) if pol != baseline else 1.0
+                   for pol, res in by_policy.items()}
+    return out
+
+
+def best_static_speedups(static_speedups: Mapping[str, Mapping[str, float]]
+                         ) -> Dict[str, float]:
+    """Per-workload best static speed-up (the paper's Best Static bar)."""
+    return {wl: max(by_policy.values())
+            for wl, by_policy in static_speedups.items()}
+
+
 def set_members(classes: Mapping[str, str], which: str) -> List[str]:
     """Workloads in an aggregate set: ``"LMH"``, ``"MH"``, or ``"H"``."""
     wanted = set(which)

@@ -21,8 +21,7 @@ def make_machine():
 
 
 @pytest.fixture
-def tmp_runner(tmp_path):
-    """A Runner caching into a temporary directory."""
-    from repro.harness.runner import Runner
-    from repro.sim.config import DEFAULT_CONFIG
-    return Runner(config=DEFAULT_CONFIG, cache_dir=str(tmp_path))
+def tmp_executor(tmp_path):
+    """An Executor caching into a temporary directory."""
+    from repro.harness.executor import Executor, ResultStore
+    return Executor(store=ResultStore(str(tmp_path)))

@@ -17,7 +17,7 @@ import pytest
 from repro.harness import golden
 from repro.harness.executor import CACHE_VERSION, execute_spec
 from repro.harness.golden import (DEFAULT_DIGEST_PATH, GOLDEN_SCHEMA,
-                                  TraceDigestSink, cell_key, compute_digests,
+                                  Sha256Writer, cell_key, compute_digests,
                                   digest_cell, golden_main, golden_specs,
                                   grid_fingerprint, grouped_problems,
                                   load_digests, make_spec, stale_cells)
@@ -78,16 +78,21 @@ def test_pooled_digests_match_in_process_digests(corpus):
 
 
 def test_trace_digest_matches_trace_file(tmp_path):
-    """The in-memory trace hasher equals hashing a --trace JSONL file."""
+    """The in-memory trace hasher equals hashing a --trace JSONL file,
+    and digest_cell reports that hash."""
     spec = make_spec("COUNTER", "all-near", threads=4, scale=0.5)
     trace_path = tmp_path / "trace.jsonl"
     file_sink = TraceSink(str(trace_path))
-    hash_sink = TraceDigestSink()
+    digest = Sha256Writer()
+    hash_sink = TraceSink(digest)
     execute_spec(spec, extra_sinks=(file_sink, hash_sink))
     file_sink.close()
     on_disk = hashlib.sha256(trace_path.read_bytes()).hexdigest()
-    assert hash_sink.hexdigest() == on_disk
-    assert hash_sink.events == file_sink.events_written
+    assert digest.hexdigest() == on_disk
+    assert hash_sink.events_written == file_sink.events_written
+    cell = digest_cell(spec)
+    assert cell["trace_sha256"] == on_disk
+    assert cell["trace_events"] == file_sink.events_written
 
 
 def test_digest_cell_is_reproducible():

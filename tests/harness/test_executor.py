@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness import executor as ex
-from repro.harness.executor import (CacheSchemaError, ResultStore,
-                                    _execute_group_serialized, default_jobs,
-                                    deserialize_result, make_executor,
-                                    make_spec, serialize_result)
-from repro.harness.runner import Runner, speedups_vs_baseline
+from repro.harness.executor import (CacheSchemaError, Executor, ResultStore,
+                                    _execute_group_serialized,
+                                    deserialize_result, env_int,
+                                    make_executor, make_spec,
+                                    serialize_result)
+from repro.harness.report import speedups_vs_baseline
 from repro.noc.message import MsgType, TrafficMeter
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.results import MachineStats, SimulationResult
@@ -255,14 +256,13 @@ def test_memo_is_a_bounded_lru(tmp_path):
 
 
 def test_memo_entries_env(monkeypatch, tmp_path):
-    from repro.harness.executor import default_memo_entries
     monkeypatch.delenv("REPRO_MEMO_ENTRIES", raising=False)
-    assert default_memo_entries() == 4096
+    assert ResultStore(str(tmp_path)).memo_entries == 4096
     monkeypatch.setenv("REPRO_MEMO_ENTRIES", "7")
     assert ResultStore(str(tmp_path)).memo_entries == 7
     monkeypatch.setenv("REPRO_MEMO_ENTRIES", "0")
     with pytest.raises(ValueError, match="REPRO_MEMO_ENTRIES"):
-        default_memo_entries()
+        ResultStore(str(tmp_path))
 
 
 def test_byte_budget_evicts_lru(tmp_path):
@@ -318,14 +318,13 @@ def test_byte_budget_protects_latest_write(tmp_path):
 
 
 def test_cache_bytes_env(monkeypatch, tmp_path):
-    from repro.harness.executor import default_byte_budget
     monkeypatch.delenv("REPRO_CACHE_BYTES", raising=False)
-    assert default_byte_budget() is None
+    assert ResultStore(str(tmp_path)).byte_budget is None
     monkeypatch.setenv("REPRO_CACHE_BYTES", "1048576")
     assert ResultStore(str(tmp_path)).byte_budget == 1048576
     monkeypatch.setenv("REPRO_CACHE_BYTES", "lots")
     with pytest.raises(ValueError, match="REPRO_CACHE_BYTES"):
-        default_byte_budget()
+        ResultStore(str(tmp_path))
 
 
 # --- spec planning ----------------------------------------------------
@@ -391,9 +390,9 @@ def test_with_config_of_the_base_returns_the_spec_itself():
 
 def test_default_jobs_env(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert default_jobs() == 1
+    assert Executor().jobs == 1
     monkeypatch.setenv("REPRO_JOBS", "6")
-    assert default_jobs() == 6
+    assert Executor().jobs == 6
     assert make_executor().jobs == 6
     monkeypatch.setenv("REPRO_JOBS", "1")
     assert make_executor().jobs == 1
@@ -401,10 +400,45 @@ def test_default_jobs_env(monkeypatch):
         make_executor(jobs=0)
     monkeypatch.setenv("REPRO_JOBS", "zero")
     with pytest.raises(ValueError, match="REPRO_JOBS"):
-        default_jobs()
+        Executor()
     monkeypatch.setenv("REPRO_JOBS", "0")
     with pytest.raises(ValueError, match="REPRO_JOBS"):
-        default_jobs()
+        Executor()
+
+
+#: The positive-int settings: default when unset or blank, and how the
+#: harness reads each one.
+ENV_INTS = {
+    "REPRO_JOBS": (1, lambda: Executor(store=ResultStore(enabled=False)).jobs),
+    "REPRO_MEMO_ENTRIES": (4096,
+                           lambda: ResultStore(enabled=False).memo_entries),
+    "REPRO_CACHE_BYTES": (None,
+                          lambda: ResultStore(enabled=False).byte_budget),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENV_INTS))
+@pytest.mark.parametrize("raw,want", [
+    (None, "default"), ("", "default"), ("  ", "default"), ("5", 5),
+    ("0", ValueError), ("-3", ValueError), ("abc", ValueError),
+], ids=["unset", "empty", "blank", "5", "0", "-3", "abc"])
+def test_env_int_settings(monkeypatch, name, raw, want):
+    """Each setting reads as its default, its value, or a ValueError
+    that names it."""
+    default, read = ENV_INTS[name]
+    for other in ENV_INTS:
+        monkeypatch.delenv(other, raising=False)
+    if raw is not None:
+        monkeypatch.setenv(name, raw)
+    if want is ValueError:
+        with pytest.raises(ValueError, match=name):
+            read()
+        with pytest.raises(ValueError, match=name):
+            env_int(name, default)
+    else:
+        expected = default if want == "default" else want
+        assert read() == expected
+        assert env_int(name, default) == expected
 
 
 # --- serial vs parallel determinism -----------------------------------
@@ -425,10 +459,8 @@ def _cache_bytes(cache_dir):
 
 def test_parallel_matches_serial_on_fig7_subgrid(tmp_path):
     """Cold-cache parallel sweep is byte-identical to the serial one."""
-    serial = Runner(cache_dir=str(tmp_path / "serial"), jobs=1)
-    parallel = Runner(cache_dir=str(tmp_path / "parallel"), jobs=4)
-    assert serial._executor.jobs == 1
-    assert parallel._executor.jobs == 4
+    serial = Executor(1, ResultStore(str(tmp_path / "serial")))
+    parallel = Executor(4, ResultStore(str(tmp_path / "parallel")))
     kwargs = dict(threads=4, scale=0.1)
     grid_s = serial.sweep(GRID_WORKLOADS, GRID_POLICIES, **kwargs)
     grid_p = parallel.sweep(GRID_WORKLOADS, GRID_POLICIES, **kwargs)
@@ -444,13 +476,26 @@ def test_parallel_matches_serial_on_fig7_subgrid(tmp_path):
 
 
 def test_parallel_deduplicates_and_orders(tmp_path):
-    runner = Runner(cache_dir=str(tmp_path), jobs=2)
-    spec = runner.make_spec("HIST", "all-near", threads=4, scale=0.1)
-    other = runner.make_spec("HIST", "unique-near", threads=4, scale=0.1)
-    results = runner.run_specs([spec, other, spec])
+    executor = Executor(2, ResultStore(str(tmp_path)))
+    spec = executor.make_spec("HIST", "all-near", threads=4, scale=0.1)
+    other = executor.make_spec("HIST", "unique-near", threads=4, scale=0.1)
+    results = executor.run_many([spec, other, spec])
     assert results[0] is results[2], "duplicate specs run once"
     assert results[0].policy == "all-near"
     assert results[1].policy == "unique-near"
+
+
+def test_lone_miss_runs_in_process(tmp_path, monkeypatch):
+    """One cell, even asked for twice, starts no pool at any ``jobs``."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a lone miss started a pool")
+
+    monkeypatch.setattr(ex, "ProcessCompute", no_pool)
+    executor = Executor(4, ResultStore(str(tmp_path)))
+    spec = executor.make_spec("HIST", "all-near", threads=4, scale=0.1)
+    first, again = executor.run_many([spec, spec])
+    assert first is again
+    assert executor.run(spec) is first, "the stored result answers"
 
 
 def die_once(marker, specs):
@@ -482,9 +527,9 @@ def test_parallel_sweep_survives_a_worker_death(tmp_path, monkeypatch):
 # --- error reporting --------------------------------------------------
 
 
-def test_speedups_require_baseline(tmp_runner):
-    grid = tmp_runner.sweep(["HIST"], ["unique-near"],
-                            threads=4, scale=0.1)
+def test_speedups_require_baseline(tmp_executor):
+    grid = tmp_executor.sweep(["HIST"], ["unique-near"],
+                              threads=4, scale=0.1)
     with pytest.raises(ValueError) as err:
         speedups_vs_baseline(grid)
     assert "all-near" in str(err.value)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness import figures, tables
-from repro.harness.runner import Runner
+from repro.harness.executor import Executor, ResultStore
 from repro.sim.config import DEFAULT_CONFIG
 
 
@@ -41,8 +41,9 @@ class TestTables:
 
 class TestFigure1:
     def test_shapes(self, tmp_path):
-        runner = Runner(DEFAULT_CONFIG.scaled(8), cache_dir=str(tmp_path))
-        data = figures.figure1(runner, threads=(1, 4, 8))
+        executor = Executor(store=ResultStore(str(tmp_path)),
+                            config=DEFAULT_CONFIG.scaled(8))
+        data = figures.figure1(executor, threads=(1, 4, 8))
         near = data.series["Atomic-Near"]
         far_store = data.series["AtomicStore-Far"]
         far_load = data.series["AtomicLoad-Far"]
@@ -56,35 +57,37 @@ class TestFigure1:
         assert near[0] > near[-1]
 
     def test_thread_counts_clamped_to_config(self, tmp_path):
-        runner = Runner(DEFAULT_CONFIG.scaled(4), cache_dir=str(tmp_path))
-        data = figures.figure1(runner, threads=(1, 2, 64))
+        executor = Executor(store=ResultStore(str(tmp_path)),
+                            config=DEFAULT_CONFIG.scaled(4))
+        data = figures.figure1(executor, threads=(1, 2, 64))
         assert data.xs == [1, 2]
 
     def test_render(self, tmp_path):
-        runner = Runner(DEFAULT_CONFIG.scaled(4), cache_dir=str(tmp_path))
-        data = figures.figure1(runner, threads=(1, 2))
+        executor = Executor(store=ResultStore(str(tmp_path)),
+                            config=DEFAULT_CONFIG.scaled(4))
+        data = figures.figure1(executor, threads=(1, 2))
         text = data.render()
         assert "Figure 1" in text
         assert "Atomic-Near" in text
 
 
 class TestFigureDrivers:
-    def test_figure6_apki_split(self, tmp_runner):
-        data = figures.figure6(tmp_runner, workloads=("HIST", "RAY"))
+    def test_figure6_apki_split(self, tmp_executor):
+        data = figures.figure6(tmp_executor, workloads=("HIST", "RAY"))
         total_hist = data.series["AtomicLoad"][0] + data.series["AtomicStore"][0]
         assert total_hist > 8  # HIST is an H workload
         assert data.series["AtomicStore"][0] > data.series["AtomicLoad"][0]
 
-    def test_figure7_small_subset(self, tmp_runner):
-        grid = figures.figure7(tmp_runner, workloads=("HIST", "RAY"))
+    def test_figure7_small_subset(self, tmp_executor):
+        grid = figures.figure7(tmp_executor, workloads=("HIST", "RAY"))
         assert "best-static" in grid.policies
         assert grid.speedups["HIST"]["best-static"] >= \
             grid.speedups["HIST"]["present-near"]
         assert grid.geomeans["best-static"]["LMH"] >= 1.0
         assert "Figure 7" in grid.render()
 
-    def test_figure8_small_subset(self, tmp_runner):
-        grid = figures.figure8(tmp_runner, workloads=("HIST", "RAY"))
+    def test_figure8_small_subset(self, tmp_executor):
+        grid = figures.figure8(tmp_executor, workloads=("HIST", "RAY"))
         assert set(grid.policies) == {"dynamo-metric", "dynamo-reuse-un",
                                       "dynamo-reuse-pn", "best-static"}
         for wl in ("HIST", "RAY"):
@@ -94,8 +97,8 @@ class TestFigureDrivers:
         assert set(figures.FIGURES) == {"1", "6", "7", "8", "9", "10", "11",
                                         "energy", "blame", "txn"}
 
-    def test_txn_study_small(self, tmp_runner):
-        data = figures.txn_study(tmp_runner,
+    def test_txn_study_small(self, tmp_executor):
+        data = figures.txn_study(tmp_executor,
                                  inputs=("zipf-0.5", "zipf-1.4"),
                                  policies=("all-near", "dynamo-reuse-pn"))
         assert data.xs == [0.5, 1.4]
@@ -108,7 +111,7 @@ class TestFigureDrivers:
             assert p99[-1] > p99[0]
             assert throughput[-1] < throughput[0]
 
-    def test_energy_study_small(self, tmp_runner):
-        data = figures.energy_study(tmp_runner, workloads=("HIST", "RAY"))
+    def test_energy_study_small(self, tmp_executor):
+        data = figures.energy_study(tmp_executor, workloads=("HIST", "RAY"))
         assert "unique-near/total" in data.series
         assert len(data.xs) == 3

@@ -1,12 +1,11 @@
-"""Tests for the experiment runner and its cache."""
+"""Tests for running cells through the Executor and its cache."""
 
 import os
 
 import pytest
 
-from repro.harness.executor import RunSpec
-from repro.harness.runner import (Runner, best_static_speedups,
-                                  speedups_vs_baseline)
+from repro.harness.executor import Executor, ResultStore, RunSpec
+from repro.harness.report import best_static_speedups, speedups_vs_baseline
 from repro.sim.config import DEFAULT_CONFIG
 
 SMALL = dict(threads=4, scale=0.15)
@@ -34,16 +33,20 @@ class TestRunSpec:
         assert ("mem_latency", 7) in changed.config_overrides
 
 
-class TestRunner:
-    def test_run_produces_result(self, tmp_runner):
-        result = tmp_runner.run("RAY", "all-near", **SMALL)
+def run(executor, workload, policy, **kwargs):
+    return executor.run(executor.make_spec(workload, policy, **kwargs))
+
+
+class TestExecutor:
+    def test_run_produces_result(self, tmp_executor):
+        result = run(tmp_executor, "RAY", "all-near", **SMALL)
         assert result.cycles > 0
         assert result.metadata["workload"] == "RAY"
         assert result.energy  # energy attached
 
-    def test_cache_roundtrip_identical(self, tmp_runner):
-        first = tmp_runner.run("RAY", "all-near", **SMALL)
-        second = tmp_runner.run("RAY", "all-near", **SMALL)
+    def test_cache_roundtrip_identical(self, tmp_executor):
+        first = run(tmp_executor, "RAY", "all-near", **SMALL)
+        second = run(tmp_executor, "RAY", "all-near", **SMALL)
         assert second.cycles == first.cycles
         assert second.stats.as_dict() == first.stats.as_dict()
         assert second.traffic.by_type() == first.traffic.by_type()
@@ -51,30 +54,32 @@ class TestRunner:
         assert second.apki == first.apki
 
     def test_cache_files_created(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path))
-        runner.run("RAY", "all-near", **SMALL)
+        run(Executor(store=ResultStore(str(tmp_path))), "RAY", "all-near",
+            **SMALL)
         assert any(name.endswith(".json")
                    for _root, _dirs, names in os.walk(tmp_path)
                    for name in names)
 
     def test_no_cache_mode_writes_nothing(self, tmp_path):
-        runner = Runner(cache_dir=str(tmp_path), use_cache=False)
-        runner.run("RAY", "all-near", **SMALL)
+        store = ResultStore(str(tmp_path), enabled=False)
+        run(Executor(store=store), "RAY", "all-near", **SMALL)
         assert not os.path.exists(tmp_path) or not os.listdir(tmp_path)
 
-    def test_threads_validated_against_config(self, tmp_runner):
+    def test_threads_validated_against_config(self, tmp_executor):
         with pytest.raises(ValueError):
-            tmp_runner.run("RAY", "all-near", threads=1000)
+            run(tmp_executor, "RAY", "all-near", threads=1000)
 
-    def test_sweep_shape(self, tmp_runner):
-        grid = tmp_runner.sweep(["RAY"], ["all-near", "unique-near"], **SMALL)
+    def test_sweep_shape(self, tmp_executor):
+        grid = tmp_executor.sweep(["RAY"], ["all-near", "unique-near"],
+                                  **SMALL)
         assert set(grid) == {"RAY"}
         assert set(grid["RAY"]) == {"all-near", "unique-near"}
 
 
 class TestSpeedups:
-    def test_speedups_vs_baseline(self, tmp_runner):
-        grid = tmp_runner.sweep(["RAY"], ["all-near", "unique-near"], **SMALL)
+    def test_speedups_vs_baseline(self, tmp_executor):
+        grid = tmp_executor.sweep(["RAY"], ["all-near", "unique-near"],
+                                  **SMALL)
         sp = speedups_vs_baseline(grid)
         assert sp["RAY"]["all-near"] == 1.0
         assert sp["RAY"]["unique-near"] == pytest.approx(

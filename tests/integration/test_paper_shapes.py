@@ -8,14 +8,15 @@ test runs (and the benchmark suite) reuse each other's simulations.
 
 import pytest
 
-from repro.harness.runner import Runner
+from repro.harness.executor import Executor
 
-runner = Runner()
+executor = Executor()
 
 
 def speedup(workload, policy, **kwargs):
-    base = runner.run(workload, "all-near", **kwargs)
-    other = runner.run(workload, policy, **kwargs)
+    base, other = executor.run_many(
+        [executor.make_spec(workload, pol, **kwargs)
+         for pol in ("all-near", policy)])
     return other.speedup_over(base)
 
 
@@ -90,12 +91,9 @@ class TestSystemSensitivity:
     def test_insensitive_to_memory_latency(self):
         """Fig. 11: halving/doubling HBM latency barely moves DynAMO's
         relative gain."""
-        cfg = runner.config
+        cfg = executor.config
         gains = []
         for mem in (cfg.mem_latency // 2, cfg.mem_latency * 2):
-            sweep = Runner(config=cfg.replace(mem_latency=mem),
-                           cache_dir=runner.cache_dir)
-            base = sweep.run("HIST", "all-near")
-            dyn = sweep.run("HIST", "dynamo-reuse-pn")
-            gains.append(dyn.speedup_over(base))
+            gains.append(speedup("HIST", "dynamo-reuse-pn",
+                                 config=cfg.replace(mem_latency=mem)))
         assert gains[0] == pytest.approx(gains[1], rel=0.25)

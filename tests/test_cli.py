@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 import time
 
 import pytest
@@ -44,6 +45,36 @@ def test_run_with_policy_and_input(capsys, tmp_path, monkeypatch):
                  "--input", "BMP24", "--threads", "4",
                  "--scale", "0.15"]) == 0
     assert "policy=unique-near" in capsys.readouterr().out
+
+
+def test_stamps_needs_trace(capsys, tmp_path, monkeypatch):
+    """--stamps only shapes a trace: without --trace it is a usage
+    error, before any work runs."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "WAT", "--policy", "present-near", "--threads", "8",
+              "--scale", "0.5", "--stamps"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--stamps needs --trace" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("jobs,workers", [(None, 4), ("1", 1), ("3", 3)])
+def test_serve_workers_default_to_repro_jobs(monkeypatch, tmp_path, jobs,
+                                             workers):
+    """Without --workers, serve takes $REPRO_JOBS, or 4 when unset."""
+    import repro.service.app as app
+    seen = []
+    monkeypatch.setattr(app, "serve_forever",
+                        lambda host, port, n, store: seen.append(n) or 0)
+    if jobs is None:
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_JOBS", jobs)
+    assert main(["serve", "--cache-dir", str(tmp_path)]) == 0
+    assert seen == [workers]
 
 
 def test_unknown_workload_rejected():
