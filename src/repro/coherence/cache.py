@@ -76,19 +76,13 @@ class SetAssocCache:
         self.block_bytes = block_bytes
         self.num_sets = num_sets
         self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(num_sets)]
-        # Power-of-two geometries (every Table II cache) index with a
-        # mask; the modulo fallback keeps odd test geometries working.
-        self._pow2_mask = (num_sets - 1) if num_sets & (num_sets - 1) == 0 \
-            else None
 
     def lookup(self, block: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line for ``block``, or None.
 
         ``touch`` promotes the line to most-recently-used.
         """
-        mask = self._pow2_mask
-        line_set = self._sets[block & mask if mask is not None
-                              else block % self.num_sets]
+        line_set = self._sets[block % self.num_sets]
         line = line_set.get(block)
         if line is not None and touch:
             del line_set[block]

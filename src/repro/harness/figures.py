@@ -147,16 +147,16 @@ def _speedup_grid(name: str, policies: List[str],
                   executor: Optional[Executor],
                   workloads: Sequence[str],
                   notes: str = "") -> SpeedupGrid:
+    """Speed-ups of ``policies`` over All Near; the figure computes the
+    geomeans once its rows are final."""
     executor = executor or Executor()
     grid = executor.sweep(workloads, [BASELINE] + policies)
     speedups = speedups_vs_baseline(grid, BASELINE)
     classes = apki_classes({wl: grid[wl][BASELINE] for wl in workloads})
     for wl in speedups:
         speedups[wl].pop(BASELINE, None)
-    data = SpeedupGrid(name=name, policies=policies, speedups=speedups,
+    return SpeedupGrid(name=name, policies=policies, speedups=speedups,
                        classes=classes, notes=notes)
-    data.compute_geomeans()
-    return data
 
 
 def figure7(executor: Optional[Executor] = None,

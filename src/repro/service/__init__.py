@@ -14,9 +14,7 @@ store:
 * :mod:`repro.service.app` — the HTTP server and routes
   (``POST /v1/batch``, ``GET /v1/batch/<id>``,
   ``GET /v1/batch/<id>/events``, ``GET /v1/healthz``,
-  ``GET /v1/stats``);
-* :mod:`repro.service.smoke` — the CI smoke entry point
-  (``python -m repro.service.smoke``).
+  ``GET /v1/stats``).
 """
 
 from repro.service.api import BatchValidationError, parse_batch

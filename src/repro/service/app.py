@@ -205,7 +205,10 @@ class _Handler(BaseHTTPRequestHandler):
         It answers as the stdlib does: 400 for a bad request line, 431
         for an over-long header line or more than :data:`MAX_HEADERS`
         lines, 505 for HTTP/2 and later; ``Connection`` and
-        ``Expect: 100-continue`` act as they do there.
+        ``Expect: 100-continue`` act as they do there.  One difference:
+        a rejected request line gets a status line, headers and
+        ``Connection: close`` (see :meth:`_reject_line`), where the
+        stdlib sends its HTML error page alone.
         """
         self.command = None
         self.request_version = self.default_request_version
@@ -223,27 +226,26 @@ class _Handler(BaseHTTPRequestHandler):
             if not (version.startswith("HTTP/") and major.isdecimal()
                     and minor.isdecimal() and len(major) <= 10
                     and len(minor) <= 10):
-                self.send_error(HTTPStatus.BAD_REQUEST,
-                                f"Bad request version ({version!r})")
-                return False
+                return self._reject_line(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad request version ({version!r})")
             if (int(major), int(minor)) >= (1, 1):
                 self.close_connection = False
             if int(major) >= 2:
-                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
-                                f"Invalid HTTP version ({version[5:]})")
-                return False
+                return self._reject_line(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})")
             self.request_version = version
         if not 2 <= len(words) <= 3:
-            self.send_error(HTTPStatus.BAD_REQUEST,
-                            f"Bad request syntax ({line!r})")
-            return False
+            return self._reject_line(HTTPStatus.BAD_REQUEST,
+                                     f"Bad request syntax ({line!r})")
         command, path = words[:2]
         if len(words) == 2:
             self.close_connection = True
             if command != "GET":
-                self.send_error(HTTPStatus.BAD_REQUEST,
-                                f"Bad HTTP/0.9 request type ({command!r})")
-                return False
+                return self._reject_line(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad HTTP/0.9 request type ({command!r})")
         self.command = command
         # As the stdlib does against open redirects: '//x' is '/x'.
         self.path = "/" + path.lstrip("/") if path.startswith("//") \
@@ -261,6 +263,17 @@ class _Handler(BaseHTTPRequestHandler):
                 and self.request_version >= "HTTP/1.1":
             return self.handle_expect_100()
         return True
+
+    def _reject_line(self, status: HTTPStatus, message: str) -> bool:
+        """Answer a rejected request line; False, for :meth:`parse_request`.
+
+        Until a version is accepted ``request_version`` is HTTP/0.9,
+        under which ``send_error`` writes its error page without a
+        status line, so a client could not read the status.
+        """
+        self.request_version = self.protocol_version
+        self.send_error(status, message)
+        return False
 
     def _read_headers(self) -> Optional[_Headers]:
         """Read the header block; None after answering 431.

@@ -1,16 +1,21 @@
-"""Service test fixtures: a real in-process server + HTTP client.
+"""Service test fixtures: a real in-process server + HTTP clients.
 
 The server fixture binds a real :class:`ReproServer` on an ephemeral
 port with a scheduler whose ``compute`` is injectable: API and load
 tests use :func:`stub_compute` (deterministic, microsecond-fast,
 internally redundant so torn reads are detectable), while the golden
-end-to-end test uses the real :func:`execute_spec`.
+end-to-end test uses the real :func:`execute_spec`.  :class:`Client`
+speaks through ``urllib``; :class:`RawConnection` sends bytes exactly as
+given on a bare socket.
 """
 
 import hashlib
 import json
+import re
+import socket
 import urllib.error
 import urllib.request
+from typing import Dict, Optional, Tuple
 
 import pytest
 
@@ -105,6 +110,74 @@ class Client:
         assert status == 200, job
         assert job["done"], job
         return job
+
+
+class RawConnection:
+    """HTTP/1.1 over a bare socket: requests leave as given, responses
+    are read by their ``Content-Length``."""
+
+    def __init__(self, port: int, timeout: float = 120) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port),
+                                             timeout=timeout)
+        self._buf = b""
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def _fill(self) -> bool:
+        try:
+            chunk = self.sock.recv(65536)
+        except ConnectionResetError:
+            chunk = b""
+        self._buf += chunk
+        return bool(chunk)
+
+    def response(self) -> Optional[Tuple[int, bytes]]:
+        """The next response's status and body; None once the server
+        has closed the connection.
+
+        Before it has read a valid HTTP version the stdlib answers an
+        error with its HTML page alone and then closes; the status is
+        taken from that page.
+        """
+        while len(self._buf) < 5 or (self._buf.startswith(b"HTTP/")
+                                     and b"\r\n\r\n" not in self._buf):
+            if not self._fill():
+                break
+        if not self._buf.startswith(b"HTTP/"):
+            while self._fill():
+                pass
+            body, self._buf = self._buf, b""
+            code = re.search(rb"Error code: (\d+)", body)
+            return (int(code.group(1)), body) if code else None
+        if b"\r\n\r\n" not in self._buf:
+            return None
+        head, self._buf = self._buf.split(b"\r\n\r\n", 1)
+        lines = head.decode("latin-1").split("\r\n")
+        length = 0
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        while len(self._buf) < length:
+            if not self._fill():
+                return None
+        body, self._buf = self._buf[:length], self._buf[length:]
+        return int(lines[0].split()[1]), body
+
+    def request(self, method: str, path: str, payload: Optional[Dict] = None
+                ) -> Optional[Tuple[int, bytes]]:
+        """Send one keep-alive request; its response as :meth:`response`."""
+        body = b"" if payload is None else json.dumps(payload).encode()
+        head = f"{method} {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        if payload is not None:
+            head += (f"Content-Type: application/json\r\n"
+                     f"Content-Length: {len(body)}\r\n")
+        self.send(head.encode() + b"\r\n" + body)
+        return self.response()
+
+    def close(self) -> None:
+        self.sock.close()
 
 
 @pytest.fixture

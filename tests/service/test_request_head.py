@@ -4,12 +4,13 @@ answer every request as a plain :class:`BaseHTTPRequestHandler` does."""
 import email.parser
 import http.client
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.service.smoke import RawConnection
+from tests.service.conftest import RawConnection
 
 CELL = {"workload": "HIST", "policy": "all-near", "threads": 8,
         "scale": 0.5, "seed": 0}
@@ -122,12 +123,26 @@ def _observe(port, request, body=None):
         conn.close()
 
 
+def _raw_answer(port, request):
+    """Every byte the server answers ``request`` with, sent alone."""
+    answer = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        while chunk := sock.recv(65536):
+            answer += chunk
+    return answer
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_answers_like_the_stdlib(service, reference, name):
     server, _client = service
     ours = _observe(server.port, CASES[name])
     assert ours == _observe(reference, CASES[name]), name
     assert ours[0][0] is not None, name
+    # Unlike the stdlib, which sends a rejected request line its error
+    # page alone, every answer has a status line.
+    assert _raw_answer(server.port, CASES[name]).startswith(b"HTTP/1."), name
 
 
 def test_expected_answers(reference):

@@ -10,6 +10,7 @@ checkers, so the walk below counts every import statement in the file.
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -74,6 +75,32 @@ def test_walk_sees_every_import_form():
             source
     assert not any(_is_upper(m) for m in _imported_modules(
         "from . import events\nfrom ..coherence import l1", sim))
+
+
+# --- runtime dependencies are the standard library ----------------------
+
+
+def _is_third_party(module):
+    top = module.split(".")[0]
+    return top not in ("repro", "__future__") \
+        and top not in sys.stdlib_module_names
+
+
+def test_src_imports_only_repro_and_the_stdlib():
+    """``pyproject.toml`` declares no runtime dependency: every import in
+    ``src/repro``, deferred or guarded ones too, is ``repro.*``,
+    ``__future__`` or a standard-library module."""
+    offenders = [f"{path.relative_to(SRC)} imports {module}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for module in _file_imports(path)
+                 if _is_third_party(module)]
+    assert offenders == []
+    # Not vacuous: a third-party import is told from the stdlib's.
+    sim = ["repro", "sim"]
+    assert any(_is_third_party(m) for m in _imported_modules(
+        "def f():\n    import numpy as np", sim))
+    assert not any(_is_third_party(m) for m in _imported_modules(
+        "from os import path\nfrom . import events\nimport json", sim))
 
 
 # --- traffic accounting has one gateway --------------------------------
